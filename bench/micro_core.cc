@@ -66,22 +66,11 @@ void BM_MetricsRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_MetricsRecord)->Threads(1)->Threads(8);
 
-// Engine-dispatched counting (packed SIMD/scalar kernels on all-binary
-// NLTCS; arg = number of parents, so arg 7 counts an 8-attribute joint and
-// arg 9 exercises the k > kMaxPackedAttrs radix fallback).
-void BM_JointCounts(benchmark::State& state) {
-  const pb::Dataset& data = Nltcs();
-  std::vector<int> attrs = PairAttrs(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(data.JointCounts(attrs));
-  }
-  state.SetItemsProcessed(state.iterations() * data.num_rows());
-}
-BENCHMARK(BM_JointCounts)->Arg(1)->Arg(3)->Arg(5)->Arg(7);
-
 // The seed's naive pass, kept callable for an in-build speedup baseline:
 // BM_JointCountsPacked / BM_JointCountsNaive at the same arg is the engine's
-// speedup on all-binary candidate sets.
+// speedup on all-binary candidate sets. Arg = number of parents, so arg 7
+// counts an 8-attribute joint and arg 9 exercises the k > kMaxPackedAttrs
+// radix fallback.
 void BM_JointCountsNaive(benchmark::State& state) {
   const pb::Dataset& data = Nltcs();
   std::vector<pb::GenAttr> gattrs =
@@ -508,11 +497,8 @@ BENCHMARK(BM_ServeSampleBatch)
 
 // --- loopback wire paths ---------------------------------------------------
 // A real TCP server over the shared fleet, driven through ServeClient: one
-// connection per client thread, pulling 16,384-row batches. ...WireCsv is
-// the SAMPLE text stream (CSV encode on the server + line parse on the
-// client); ...WireBinary is the SAMPLEB length-prefixed packed-column
-// stream. The ratio between the two is the acceptance bar for the binary
-// protocol (≥ 4×).
+// connection per client thread, pulling 16,384-row batches over the SAMPLEB
+// length-prefixed packed-column stream.
 
 pb::ServeServer& WireServer() {
   static pb::ServeServer* server = [] {
@@ -522,19 +508,6 @@ pb::ServeServer& WireServer() {
   }();
   return *server;
 }
-
-void BM_ServeSampleBatchWireCsv(benchmark::State& state) {
-  constexpr int kBatchRows = 16384;
-  pb::ServeClient client("127.0.0.1", WireServer().port());
-  uint64_t seed = 1000 * (state.thread_index() + 1);
-  for (auto _ : state) {
-    pb::ServeClient::SampleReply reply =
-        client.Sample("m0", kBatchRows, seed++);
-    benchmark::DoNotOptimize(reply.rows.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kBatchRows);
-}
-BENCHMARK(BM_ServeSampleBatchWireCsv)->Threads(1)->Threads(4)->UseRealTime();
 
 void BM_ServeSampleBatchWireBinary(benchmark::State& state) {
   constexpr int kBatchRows = 16384;

@@ -1,23 +1,22 @@
 // Multi-client driver for a running privbayes_serve daemon.
 //
-// Connects several client threads, pulls a synthetic batch from every
-// served model on each — once over the CSV SAMPLE stream and once over the
-// binary SAMPLEB stream — and issues a direct marginal query: the
+// Connects several client threads, pulls a synthetic SAMPLEB batch from
+// every served model on each, and issues a direct marginal query: the
 // end-to-end proof that one server answers concurrent sampling AND query
 // traffic. Verifies on the wire what the serving layer promises:
-//   * same request seed ⇒ byte-identical rows across connections,
-//   * the binary stream decodes to exactly the CSV rows,
-//   * the binary path is at least as fast as the CSV path (it should be
-//     several times faster; < 1× is a regression),
-//   * a projected request returns exactly the requested columns,
+//   * same request seed ⇒ identical rows across connections,
+//   * a projected request returns exactly the requested columns of the
+//     unprojected batch,
 //   * a served marginal is a normalized distribution.
-// Exits non-zero on any violation (the CI smoke job runs this binary).
+// Rows equal local SampleSyntheticData of the served model under the same
+// seed; serve_test checks that against an in-process server, since this
+// client never holds the daemon's model. Exits non-zero on any violation
+// (the CI smoke job runs this binary).
 //
 // With PRIVBAYES_WIRE_FAULTS armed (chaos smoke), every connection is
 // deliberately lossy: clients retry with backoff (RetryPolicy::Default()
-// turns retries on under that env), results must still be bit-identical,
-// but the binary≥CSV throughput comparison is skipped — retry overhead
-// swamps the encoding difference.
+// turns retries on under that env), and results must still be
+// bit-identical.
 //
 // usage: serve_client [port] [host] [threads] [rows]
 //        serve_client --health [port] [host]
@@ -203,7 +202,6 @@ int main(int argc, char** argv) {
   const std::string host = argc > 2 ? argv[2] : "127.0.0.1";
   const int threads = argc > 3 ? std::atoi(argv[3]) : 4;
   const int64_t rows = argc > 4 ? std::atol(argv[4]) : 20000;
-  const bool faults_armed = std::getenv("PRIVBAYES_WIRE_FAULTS") != nullptr;
 
   try {
     pb::ServeClient probe(host, port);
@@ -218,75 +216,46 @@ int main(int argc, char** argv) {
     }
 
     for (const pb::ServedModelInfo& m : models) {
-      // Throughput: `threads` concurrent connections, each pulling `rows` —
-      // first over the CSV SAMPLE stream, then over the binary SAMPLEB
-      // stream. Same seeds, so the two passes move identical rows.
-      auto timed_pull = [&](bool binary) {
-        auto start = std::chrono::steady_clock::now();
-        std::vector<std::thread> pullers;
-        for (int t = 0; t < threads; ++t) {
-          pullers.emplace_back([&, t] {
-            try {
-              pb::ServeClient client(host, port);
-              if (binary) {
-                pb::Dataset batch =
-                    client.SampleBinary(m.name, rows, /*seed=*/1000 + t);
-                Check(batch.num_rows() == rows, "short binary sample batch");
-              } else {
-                pb::ServeClient::SampleReply reply =
-                    client.Sample(m.name, rows, /*seed=*/1000 + t);
-                Check(static_cast<int64_t>(reply.rows.size()) == rows,
-                      "short sample batch");
-              }
-              client.Quit();
-            } catch (const std::exception& e) {
-              std::fprintf(stderr, "FAIL: puller: %s\n", e.what());
-              g_failures.fetch_add(1);
-            }
-          });
-        }
-        for (std::thread& t : pullers) t.join();
-        double secs = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-        double rate = threads * static_cast<double>(rows) / secs;
-        std::printf("%s: %-6s %d clients × %lld rows in %.2fs — %.0f rows/s\n",
-                    m.name.c_str(), binary ? "binary" : "CSV", threads,
-                    static_cast<long long>(rows), secs, rate);
-        return rate;
-      };
-      double csv_rate = timed_pull(/*binary=*/false);
-      double binary_rate = timed_pull(/*binary=*/true);
-      std::printf("%s: binary/CSV throughput ratio %.2fx\n", m.name.c_str(),
-                  binary_rate / csv_rate);
-      if (!faults_armed) {
-        Check(binary_rate >= csv_rate,
-              "binary wire path slower than the CSV path");
-      }
-
-      // Determinism on the wire: two connections, same seed, same bytes —
-      // and the binary stream decodes to exactly the CSV rows.
-      pb::ServeClient a(host, port), b(host, port);
-      pb::ServeClient::SampleReply ra = a.Sample(m.name, 1000, /*seed=*/7);
-      pb::ServeClient::SampleReply rb = b.Sample(m.name, 1000, /*seed=*/7);
-      Check(ra.rows == rb.rows, "same seed gave different rows");
-      pb::Dataset bin = b.SampleBinary(m.name, 1000, /*seed=*/7);
-      bool bin_equal = bin.num_rows() == 1000 &&
-                       bin.num_attrs() == static_cast<int>(ra.columns.size());
-      for (int r = 0; bin_equal && r < bin.num_rows(); ++r) {
-        for (int c = 0; c < bin.num_attrs(); ++c) {
-          if (bin.at(r, c) != ra.rows[static_cast<size_t>(r)][c]) {
-            bin_equal = false;
-            break;
+      // Throughput: `threads` concurrent connections, each pulling `rows`.
+      auto start = std::chrono::steady_clock::now();
+      std::vector<std::thread> pullers;
+      for (int t = 0; t < threads; ++t) {
+        pullers.emplace_back([&, t] {
+          try {
+            pb::ServeClient client(host, port);
+            pb::Dataset batch =
+                client.SampleBinary(m.name, rows, /*seed=*/1000 + t);
+            Check(batch.num_rows() == rows, "short sample batch");
+            client.Quit();
+          } catch (const std::exception& e) {
+            std::fprintf(stderr, "FAIL: puller: %s\n", e.what());
+            g_failures.fetch_add(1);
           }
-        }
+        });
       }
-      Check(bin_equal, "binary rows differ from CSV rows");
+      for (std::thread& t : pullers) t.join();
+      const double secs = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+      std::printf("%s: %d clients × %lld rows in %.2fs — %.0f rows/s\n",
+                  m.name.c_str(), threads, static_cast<long long>(rows), secs,
+                  threads * static_cast<double>(rows) / secs);
 
-      // Projection: first two columns only.
-      pb::ServeClient::SampleReply proj =
-          a.Sample(m.name, 100, /*seed=*/7, {0, 1});
-      Check(proj.columns.size() == 2, "projection width mismatch");
+      // Determinism on the wire: two connections, same seed, same rows.
+      pb::ServeClient a(host, port), b(host, port);
+      pb::Dataset ra = a.SampleBinary(m.name, 1000, /*seed=*/7);
+      pb::Dataset rb = b.SampleBinary(m.name, 1000, /*seed=*/7);
+      bool same = ra.num_rows() == 1000 && rb.num_attrs() == ra.num_attrs();
+      for (int c = 0; same && c < ra.num_attrs(); ++c) {
+        same = ra.column(c) == rb.column(c);
+      }
+      Check(same, "same seed gave different rows");
+
+      // Projection: the first two columns of the same seeded batch.
+      pb::Dataset proj = a.SampleBinary(m.name, 1000, /*seed=*/7, {0, 1});
+      Check(proj.num_attrs() == 2 && proj.column(0) == ra.column(0) &&
+                proj.column(1) == ra.column(1),
+            "projection differs from the full batch");
 
       // Direct marginal query over the first two attributes.
       pb::ServeClient::QueryReply marginal = a.Query(m.name, {0, 1});

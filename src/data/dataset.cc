@@ -81,11 +81,13 @@ Dataset Dataset::FromColumns(Schema schema,
     // Compare as int: a cardinality of exactly 65536 is schema-legal but
     // would wrap to 0 as a Value.
     int card = out.schema_.Cardinality(c);
-    for (Value v : columns[c]) {
-      PB_THROW_IF(static_cast<int>(v) >= card,
-                  "value " << v << " out of domain for attribute '"
-                           << out.schema_.attr(c).name << "'");
-    }
+    // One max-reduction per column (it vectorizes) instead of a branch per
+    // cell: DecodeToOriginal runs this on every served chunk.
+    Value max_value = 0;
+    for (Value v : columns[c]) max_value = std::max(max_value, v);
+    PB_THROW_IF(static_cast<int>(max_value) >= card,
+                "value " << max_value << " out of domain for attribute '"
+                         << out.schema_.attr(c).name << "'");
   }
   out.columns_ = std::move(columns);
   out.num_rows_ = static_cast<int64_t>(n);

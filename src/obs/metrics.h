@@ -167,7 +167,7 @@ class MetricsRegistry {
   /// instrument; a second call with the same key returns the same pointer
   /// (and the existing help/scale win). A kind mismatch on an existing key
   /// throws std::invalid_argument. `labels` is the preformatted inner label
-  /// list, e.g. `command="SAMPLE",stage="total"` (empty = unlabeled).
+  /// list, e.g. `command="SAMPLEB",stage="total"` (empty = unlabeled).
   /// Returned pointers stay valid for the registry's lifetime.
   Counter* GetCounter(const std::string& name, const std::string& labels,
                       const std::string& help);

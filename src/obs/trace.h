@@ -42,7 +42,7 @@ const char* StageName(Stage stage);
 /// handler stack, is copied into the ring on Finish.
 struct Span {
   uint64_t id = 0;            ///< process-unique, minted per request
-  std::string command;        ///< SAMPLE / SAMPLEB / QUERY / ...
+  std::string command;        ///< SAMPLEB / QUERY / ...
   std::string model;          ///< model name ("" before parse resolves it)
   uint64_t rows = 0;          ///< rows streamed (filled by the handler)
   uint64_t start_ns = 0;      ///< MonotonicNowNs at mint time

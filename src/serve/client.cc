@@ -305,59 +305,6 @@ std::vector<ServedModelInfo> ServeClient::List() {
   });
 }
 
-ServeClient::SampleReply ServeClient::Sample(const std::string& model,
-                                             int64_t num_rows, uint64_t seed,
-                                             const std::vector<int>& columns) {
-  return WithRetry([&] {
-    std::ostringstream request;
-    request << "SAMPLE " << model << " " << num_rows << " " << seed;
-    for (int c : columns) request << " " << c;
-    SendLine(request.str());
-
-    std::istringstream head(ExpectOk());
-    int64_t rows = 0;
-    int cols = 0;
-    head >> rows >> cols;
-    if (!head || rows != num_rows || cols <= 0) {
-      throw ServeError(ServeErrorCode::kProtocol, "bad SAMPLE reply header");
-    }
-    SampleReply reply;
-    reply.columns = SplitCsvLine(ReadLine());
-    if (static_cast<int>(reply.columns.size()) != cols) {
-      throw ServeError(ServeErrorCode::kProtocol, "bad SAMPLE CSV header");
-    }
-    reply.rows.reserve(static_cast<size_t>(rows));
-    for (int64_t r = 0; r < rows; ++r) {
-      std::string line = ReadLine();
-      if (line.rfind("!ERR ", 0) == 0) {
-        // In-band abort trailer: the server hit an error (deadline expiry,
-        // an exception) after the row stream began. Consume the END line so
-        // the connection stays usable, then surface the failure.
-        std::string message = line.substr(5);
-        if (ReadLine() != "END") {
-          throw ServeError(ServeErrorCode::kProtocol,
-                           "missing SAMPLE abort trailer");
-        }
-        throw ServeError(ClassifyServerMessage(message), "server: " + message);
-      }
-      std::vector<std::string> fields = SplitCsvLine(line);
-      if (static_cast<int>(fields.size()) != cols) {
-        throw ServeError(ServeErrorCode::kProtocol, "bad SAMPLE CSV row");
-      }
-      std::vector<Value> row(fields.size());
-      for (size_t c = 0; c < fields.size(); ++c) {
-        row[c] =
-            static_cast<Value>(std::strtoul(fields[c].c_str(), nullptr, 10));
-      }
-      reply.rows.push_back(std::move(row));
-    }
-    if (ReadLine() != "END") {
-      throw ServeError(ServeErrorCode::kProtocol, "missing SAMPLE trailer");
-    }
-    return reply;
-  });
-}
-
 Dataset ServeClient::SampleBinary(const std::string& model, int64_t num_rows,
                                   uint64_t seed,
                                   const std::vector<int>& columns) {
@@ -376,7 +323,7 @@ Dataset ServeClient::SampleBinary(const std::string& model, int64_t num_rows,
     }
     std::vector<std::string> names = SplitCsvLine(ReadLine());
     if (static_cast<int>(names.size()) != cols) {
-      throw ServeError(ServeErrorCode::kProtocol, "bad SAMPLEB CSV header");
+      throw ServeError(ServeErrorCode::kProtocol, "bad SAMPLEB name header");
     }
 
     // Frame stream: one schema frame, row frames, then exactly one end frame
@@ -526,31 +473,6 @@ ServeClient::QueryReply ServeClient::Query(const std::string& model,
   });
 }
 
-std::vector<std::pair<std::string, uint64_t>> ServeClient::Stats() {
-  return WithRetry([&] {
-    SendLine("STATS");
-    std::istringstream head(ExpectOk());
-    int count = 0;
-    head >> count;
-    if (!head || count < 0) {
-      throw ServeError(ServeErrorCode::kProtocol, "bad STATS reply");
-    }
-    std::vector<std::pair<std::string, uint64_t>> stats;
-    stats.reserve(static_cast<size_t>(count));
-    for (int i = 0; i < count; ++i) {
-      std::istringstream entry(ReadLine());
-      std::string tok, name;
-      uint64_t value = 0;
-      entry >> tok >> name >> value;
-      if (!entry || tok != "STAT") {
-        throw ServeError(ServeErrorCode::kProtocol, "bad STATS entry");
-      }
-      stats.emplace_back(std::move(name), value);
-    }
-    return stats;
-  });
-}
-
 std::string ServeClient::Metrics() {
   return WithRetry([&] {
     SendLine("METRICS");
@@ -593,7 +515,7 @@ void ServeClient::Drop(const std::string& model) {
 void ServeClient::Cancel() {
   if (fd_ < 0) return;  // nothing in flight on a closed connection
   // Fire-and-forget: CANCEL has no response of its own, so there is nothing
-  // to read here — the outcome surfaces as a CANCELLED in-band trailer in
+  // to read here — the outcome surfaces as a CANCELLED error frame in
   // the stream another reader is consuming (or not at all when nothing is
   // in flight). A failed send means the connection is already dead, which
   // the in-flight read will surface on its own.

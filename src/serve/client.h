@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "data/dataset.h"
@@ -118,7 +117,7 @@ struct ServeHealth {
   bool ready = false;       ///< state == "READY"
   std::string state;        ///< "READY" or "DRAINING"
   int sessions = 0;         ///< live connections (including this probe)
-  int active_batches = 0;   ///< SAMPLE/SAMPLEB batches running right now
+  int active_batches = 0;   ///< SAMPLEB batches running right now
 };
 
 class ServeClient {
@@ -143,27 +142,18 @@ class ServeClient {
   /// Registered models.
   std::vector<ServedModelInfo> List();
 
-  struct SampleReply {
-    std::vector<std::string> columns;
-    std::vector<std::vector<Value>> rows;  ///< row-major
-  };
   /// Requests `num_rows` synthetic rows under `seed` (same seed ⇒ the server
   /// streams identical rows on every call), optionally projected to
-  /// `columns` (original-schema indices). A mid-stream server abort (a
-  /// "!ERR <message>" trailer, e.g. DEADLINE_EXCEEDED) throws a typed
-  /// ServeError carrying the message; the connection stays usable.
-  SampleReply Sample(const std::string& model, int64_t num_rows, uint64_t seed,
-                     const std::vector<int>& columns = {});
-
-  /// Binary-protocol variant (SAMPLEB): the same rows as Sample(), decoded
-  /// from length-prefixed packed frames into a Dataset over a flat schema
-  /// rebuilt from the served column names and cardinalities — cell-for-cell
-  /// identical to the CSV path and to local SampleSyntheticData under the
-  /// same seed, at a fraction of the wire bytes and parse cost. Frame
-  /// lengths and row counts the server declares are validated against the
-  /// request — a hostile or corrupt server cannot make this client allocate
-  /// beyond the batch it asked for (ServeError{kProtocol} instead). A mid-
-  /// stream error frame throws a typed ServeError with the server message.
+  /// `columns` (original-schema indices), over SAMPLEB. The packed frames
+  /// decode into a Dataset over a flat schema rebuilt from the served column
+  /// names and cardinalities — cell-for-cell identical to local
+  /// SampleSyntheticData under the same seed. For CSV, pass the result to
+  /// data/csv.h's WriteCsv. Frame lengths and row counts the server declares
+  /// are validated against the request — a hostile or corrupt server cannot
+  /// make this client allocate beyond the batch it asked for
+  /// (ServeError{kProtocol} instead). A mid-stream error frame (e.g.
+  /// DEADLINE_EXCEEDED) throws a typed ServeError with the server message;
+  /// the connection stays usable.
   Dataset SampleBinary(const std::string& model, int64_t num_rows,
                        uint64_t seed, const std::vector<int>& columns = {});
 
@@ -173,10 +163,6 @@ class ServeClient {
   };
   /// Exact model marginal over `attrs`.
   QueryReply Query(const std::string& model, const std::vector<int>& attrs);
-
-  /// Server counters plus the process-wide MarginalStore gauges, in the
-  /// order the server reports them (see serve/server.h's STATS entry).
-  std::vector<std::pair<std::string, uint64_t>> Stats();
 
   /// Raw Prometheus text exposition from the METRICS command (the server's
   /// registry plus the process-global one). The payload is byte-counted on
@@ -190,10 +176,10 @@ class ServeClient {
   /// would fail with "no model named"), so never retried.
   void Drop(const std::string& model);
 
-  /// Aborts the in-flight SAMPLE/SAMPLEB on this connection: sends the
+  /// Aborts the in-flight SAMPLEB on this connection: sends the
   /// fire-and-forget CANCEL line (the one command with no response of its
   /// own) and returns immediately. The outcome surfaces in the stream being
-  /// read — a CANCELLED in-band trailer — or, when nothing is in flight, in
+  /// read — a CANCELLED error frame — or, when nothing is in flight, in
   /// nothing at all (the server ignores it). Only writes to the socket, so
   /// it is safe to call from a second thread while this connection streams
   /// a batch; never retried, never throws.

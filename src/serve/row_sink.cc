@@ -29,29 +29,6 @@ void DatasetSink::End() {
   columns_.clear();
 }
 
-void CsvSink::Begin(const Schema& schema) {
-  for (int c = 0; c < schema.num_attrs(); ++c) {
-    *out_ << (c ? "," : "") << schema.attr(c).name;
-  }
-  *out_ << '\n';
-}
-
-void CsvSink::Chunk(const Dataset& rows) {
-  // Identical cell format to data/csv.h's WriteCsv, so a streamed batch is
-  // byte-identical to WriteCsv of the assembled dataset.
-  for (int r = 0; r < rows.num_rows(); ++r) {
-    for (int c = 0; c < rows.num_attrs(); ++c) {
-      *out_ << (c ? "," : "") << rows.at(r, c);
-    }
-    *out_ << '\n';
-  }
-  rows_written_ += rows.num_rows();
-}
-
-void CsvSink::Abort(const std::string& message) {
-  *out_ << "!ERR " << message << "\nEND\n";
-}
-
 void BinaryRowSink::WriteFrame() {
   PB_CHECK(frame_.size() <= kMaxWireFrame);
   std::string prefix;

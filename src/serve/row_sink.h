@@ -5,8 +5,10 @@
 // needs a million rows resident per client: each chunk is handed to a
 // RowSink and freed. Two sinks cover the library and wire cases — a
 // columnar DatasetSink that reassembles the full batch (what library
-// callers and tests want) and a CsvSink that renders chunks straight into
-// an std::ostream (what the TCP front-end streams to clients).
+// callers and tests want) and a BinaryRowSink that packs chunks straight
+// into an std::ostream (what the TCP front-end streams to clients). A CSV
+// consumer decodes the binary stream and renders it with data/csv.h's
+// WriteCsv.
 
 #ifndef PRIVBAYES_SERVE_ROW_SINK_H_
 #define PRIVBAYES_SERVE_ROW_SINK_H_
@@ -45,27 +47,6 @@ class DatasetSink : public RowSink {
   Schema schema_;
   std::vector<std::vector<Value>> columns_;
   Dataset result_;
-};
-
-/// Renders chunks as CSV (data/csv.h format: header row of attribute names,
-/// then integer leaf codes) into `out`. The stream must outlive the sink.
-class CsvSink : public RowSink {
- public:
-  explicit CsvSink(std::ostream& out) : out_(&out) {}
-
-  void Begin(const Schema& schema) override;
-  void Chunk(const Dataset& rows) override;
-
-  /// Terminates the stream with the in-band abort marker ("!ERR <message>"
-  /// where a row would go, then the END trailer) — the CSV counterpart of
-  /// BinaryRowSink::Abort, so each wire sink owns its own failure encoding.
-  void Abort(const std::string& message);
-
-  int64_t rows_written() const { return rows_written_; }
-
- private:
-  std::ostream* out_;
-  int64_t rows_written_ = 0;
 };
 
 /// Renders chunks as the length-prefixed binary frame stream of serve/wire.h

@@ -43,7 +43,7 @@ constexpr uint64_t kFirstSessionToken = 2;
 
 /// Parsed-but-unserved request lines queued behind an in-flight request.
 /// Past this the loop stops reading the socket — a peer that pipelines
-/// thousands of SAMPLEs cannot grow server memory with them.
+/// thousands of SAMPLEBs cannot grow server memory with them.
 constexpr size_t kMaxPendingLines = 32;
 
 /// Compact the write queue once this much consumed prefix accumulates.
@@ -57,40 +57,31 @@ std::string OneLine(const char* text) {
   return out;
 }
 
-// Wire framing around CsvSink/BinaryRowSink: the OK line goes out only once
-// the request has validated (SamplingService resolves the model and
-// projection before calling Begin), so protocol errors never interleave with
-// row data. Once Begin has run (started() == true) the text ERR channel is
-// off limits — failures must go through Abort's in-band marker.
+// Wire framing around BinaryRowSink: the OK line and the column-name header
+// go out only once the request has validated (SamplingService resolves the
+// model and projection before calling Begin), so protocol errors never
+// interleave with row data. Once Begin has run (started() == true) the text
+// ERR channel is off limits — failures must go through Abort's error frame.
 class WireSampleSink : public RowSink {
  public:
-  enum class Format { kCsv, kBinary };
-
-  WireSampleSink(std::ostream& out, int64_t num_rows, Format format,
+  WireSampleSink(std::ostream& out, int64_t num_rows,
                  std::optional<std::chrono::steady_clock::time_point> deadline)
-      : out_(&out),
-        num_rows_(num_rows),
-        format_(format),
-        deadline_(deadline),
-        csv_(out),
-        binary_(out) {}
+      : out_(&out), num_rows_(num_rows), deadline_(deadline), binary_(out) {}
 
   void Begin(const Schema& schema) override {
     *out_ << "OK " << num_rows_ << " " << schema.num_attrs() << "\n";
-    // Both formats lead with CsvSink's name header: binary clients get the
-    // column names without a string table in the frame layout, and the
-    // CSV body keeps rendering through the one WriteCsv-identical sink.
-    csv_.Begin(schema);
+    // Column names ride as one comma-separated header line, so the frame
+    // layout needs no string table.
+    for (int c = 0; c < schema.num_attrs(); ++c) {
+      *out_ << (c ? "," : "") << schema.attr(c).name;
+    }
+    *out_ << '\n';
     started_ = true;
-    if (format_ == Format::kBinary) binary_.Begin(schema);
+    binary_.Begin(schema);
   }
 
   void Chunk(const Dataset& rows) override {
-    if (format_ == Format::kBinary) {
-      binary_.Chunk(rows);
-    } else {
-      csv_.Chunk(rows);
-    }
+    binary_.Chunk(rows);
     rows_sent_ += rows.num_rows();
     out_->flush();  // stream chunk-by-chunk, not batch-at-the-end
     if (!out_->good()) {
@@ -110,37 +101,24 @@ class WireSampleSink : public RowSink {
     }
   }
 
-  void End() override {
-    if (format_ == Format::kBinary) {
-      binary_.End();
-    } else {
-      *out_ << "END\n";
-    }
-  }
+  void End() override { binary_.End(); }
 
   /// True once the OK line went out — the point past which errors must be
   /// reported in-band rather than as an ERR line.
   bool started() const { return started_; }
 
-  /// In-band abort trailer: "!ERR <message>" + "END" for CSV, an error
-  /// frame for binary. The connection stays line-synchronized either way.
+  /// In-band abort: an error frame. The connection stays synchronized.
   void Abort(const std::string& message) {
-    if (format_ == Format::kBinary) {
-      binary_.Abort(message);
-    } else {
-      csv_.Abort(message);
-    }
+    binary_.Abort(message);
     out_->flush();
   }
 
  private:
   std::ostream* out_;
   int64_t num_rows_;
-  Format format_;
   std::optional<std::chrono::steady_clock::time_point> deadline_;
   bool started_ = false;
   int64_t rows_sent_ = 0;
-  CsvSink csv_;
   BinaryRowSink binary_;
 };
 
@@ -225,19 +203,19 @@ class ServeSessionWriter : private std::streambuf, public std::ostream {
 
   ServeServer* server_;
   std::shared_ptr<ServeServer::Session> session_;
-  char buf_[1 << 18];  // stage ~a shard of CSV per queue append
+  char buf_[1 << 18];  // stage ~a shard of frames per queue append
 };
 
-// One in-flight SAMPLE/SAMPLEB stream: the span, the queue-backed writer,
+// One in-flight SAMPLEB stream: the span, the queue-backed writer,
 // the wire sink and the chunk cursor (which owns the admission ticket).
 // Destroyed by the driver on finish/abort; destroying the cursor releases
 // the slot. Member order matters: cursor dies first, then sink, writer.
 struct ServeServer::BatchContext {
   BatchContext(ServeServer* server, std::shared_ptr<Session> session,
-               int64_t num_rows, WireSampleSink::Format format,
+               int64_t num_rows,
                std::optional<std::chrono::steady_clock::time_point> when)
       : writer(server, std::move(session)),
-        sink(writer, num_rows, format, when),
+        sink(writer, num_rows, when),
         deadline(when) {}
 
   Span span;
@@ -258,6 +236,9 @@ struct ServeServer::EventLoop {
   int wake_fd = -1;
   std::thread thread;
   std::atomic<int>* session_gauge = nullptr;  // owned by the server
+  /// The listen socket is in this loop's epoll set. Cleared by the loop
+  /// itself (StopListening) once the server starts draining.
+  bool listening = false;
   uint64_t next_token = kFirstSessionToken;
   std::unordered_map<uint64_t, std::shared_ptr<Session>> sessions;
   /// Idle-timeout order: front = least recently active. Only sessions
@@ -381,7 +362,6 @@ ServeServer::ServeServer(ModelRegistry* registry, ServeServerOptions options)
   write_queue_bytes_ = metrics_.GetHistogram(
       "privbayes_serve_write_queue_bytes", "",
       "Session write-queue depth sampled at each enqueue", 1.0);
-  lat_sample_ = MakeRequestLatency("SAMPLE");
   lat_sampleb_ = MakeRequestLatency("SAMPLEB");
   lat_query_ = MakeRequestLatency("QUERY");
 
@@ -457,6 +437,28 @@ ServeServer::ServeServer(ModelRegistry* registry, ServeServerOptions options)
                        return static_cast<double>(
                            MarginalStore::Instance().stats().bytes);
                      });
+  global.SetCallback("privbayes_marginal_skipped_total", "",
+                     "MarginalStore requests it could not cache", true, [] {
+                       return static_cast<double>(
+                           MarginalStore::Instance().stats().skipped);
+                     });
+  global.SetCallback("privbayes_marginal_cache_enabled", "",
+                     "1 when the MarginalStore caches joints, else 0", false,
+                     [] {
+                       return MarginalStore::Instance().enabled() ? 1.0 : 0.0;
+                     });
+  global.SetCallback("privbayes_marginal_byte_budget", "",
+                     "MarginalStore resident-byte cap", false, [] {
+                       return static_cast<double>(
+                           MarginalStore::Instance().byte_budget());
+                     });
+  // Clients replaying archived seeds compare this against the stream version
+  // they recorded.
+  global.SetCallback("privbayes_sampler_stream_version", "",
+                     "Sampled row stream layout version", false, [] {
+                       return static_cast<double>(
+                           NetworkSampler::kSampleStreamVersion);
+                     });
 
   int64_t slow_ms = options_.trace_slow_ms;
   if (slow_ms < 0) slow_ms = EnvInt("PRIVBAYES_TRACE_SLOW_MS", 0);
@@ -482,9 +484,7 @@ ServeServer::RequestLatency ServeServer::MakeRequestLatency(
 void ServeServer::FinishSpan(Span& span) {
   traces_.Finish(span);  // stamps total_ns; slow-logs when armed
   RequestLatency* lat = nullptr;
-  if (span.command == "SAMPLE") {
-    lat = &lat_sample_;
-  } else if (span.command == "SAMPLEB") {
+  if (span.command == "SAMPLEB") {
     lat = &lat_sampleb_;
   } else if (span.command == "QUERY") {
     lat = &lat_query_;
@@ -571,7 +571,9 @@ void ServeServer::Start() {
         fail("epoll_ctl(listen) failed");
       }
     }
+    l->listening = true;
   }
+  listening_loops_ = options_.event_loops;
 
   state_.store(ServeState::kReady);
   for (const std::unique_ptr<EventLoop>& loop : loops_) {
@@ -583,15 +585,19 @@ void ServeServer::Drain(std::chrono::milliseconds grace) {
   std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
   if (loops_.empty() && listen_fd_ < 0) return;  // idempotent
 
-  // 1. Stop taking new work. Closing the listen socket removes it from
-  // every loop's epoll set in one stroke; the state flip makes the loops
-  // start sending idle sessions the SHUTTING_DOWN notice.
+  // 1. Stop taking new work. The state flip makes every loop drop the
+  // listen socket from its epoll set (and start sending idle sessions the
+  // SHUTTING_DOWN notice). The socket is closed only after the last loop
+  // has let go of it: a loop may be inside accept4 right now, and closing
+  // under it would let it accept on a recycled fd number.
   state_.store(ServeState::kDraining);
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
   WakeAllLoops();
+  {
+    std::unique_lock<std::mutex> lock(sessions_mu_);
+    sessions_cv_.wait(lock, [&] { return listening_loops_ == 0; });
+  }
+  ::close(listen_fd_);
+  listen_fd_ = -1;
 
   // 2. Bounded wait for in-flight requests to finish streaming. Sessions
   // close themselves after the drain notice, so the count walks to zero.
@@ -704,6 +710,7 @@ void ServeServer::LoopMain(EventLoop* loop) {
     }
     DrainDirty(loop);
     if (state_.load(std::memory_order_acquire) == ServeState::kDraining) {
+      StopListening(loop);
       AnnounceDrain(loop);
     }
     if (hard_stop_.load(std::memory_order_acquire)) HardCloseAll(loop);
@@ -759,7 +766,7 @@ void ServeServer::AcceptReady(EventLoop* loop) {
     const int fd =
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN (another loop won the wakeup) or shutdown
-    // The stream ends with small flushed writes (END line / end frame);
+    // The stream ends with small flushed writes (the end frame);
     // without TCP_NODELAY, Nagle + delayed ACK can park each response's
     // tail for ~40 ms — dwarfing the transfer itself for binary batches.
     int one = 1;
@@ -773,7 +780,7 @@ void ServeServer::AcceptReady(EventLoop* loop) {
     if (options_.max_sessions > 0 && live > options_.max_sessions) {
       session_count_.fetch_sub(1, std::memory_order_acq_rel);
       // Counted before the reply goes out: a client that has read the shed
-      // line must already see it in STATS/METRICS.
+      // line must already see it in METRICS.
       shed_sessions_total_->Inc();
       const std::string msg = "ERR RESOURCE_EXHAUSTED: session cap " +
                               std::to_string(options_.max_sessions) +
@@ -891,7 +898,7 @@ void ServeServer::HandleSessionLine(EventLoop* loop,
     return;
   }
 
-  if (cmd == "SAMPLE" || cmd == "SAMPLEB" || cmd == "QUERY") {
+  if (cmd == "SAMPLEB" || cmd == "QUERY") {
     s->in_request = true;
     // In-request sessions leave the idle LRU: a long stream must not be
     // reaped as idle while the consumer is happily reading it.
@@ -1092,6 +1099,17 @@ void ServeServer::SendDrainNotice(EventLoop* loop,
   FlushSession(loop, s);
 }
 
+void ServeServer::StopListening(EventLoop* loop) {
+  if (!loop->listening) return;
+  loop->listening = false;
+  ::epoll_ctl(loop->epfd, EPOLL_CTL_DEL, listen_fd_, nullptr);
+  {
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    --listening_loops_;
+  }
+  sessions_cv_.notify_all();
+}
+
 void ServeServer::AnnounceDrain(EventLoop* loop) {
   // Collect first: the notice can complete a flush and close the session,
   // which mutates the map being walked.
@@ -1224,7 +1242,7 @@ void ServeServer::ExecuteRequest(std::shared_ptr<Session> s,
   if (cmd == "QUERY") {
     ExecuteQuery(s, fields);
   } else {
-    StartSample(s, cmd, fields);
+    StartSample(s, fields);
   }
 }
 
@@ -1254,24 +1272,22 @@ void ServeServer::ExecuteQuery(const std::shared_ptr<Session>& s,
 }
 
 void ServeServer::StartSample(const std::shared_ptr<Session>& s,
-                              const std::string& cmd,
                               std::istringstream& fields) {
   Span span;
   span.id = TraceBuffer::MintId();
-  span.command = cmd;
+  span.command = "SAMPLEB";
   span.start_ns = MonotonicNowNs();
   SampleRequest request;
   try {
     StageTimer parse_timer(&span, Stage::kParse);
     fields >> request.model >> request.num_rows >> request.seed;
-    PB_THROW_IF(!fields,
-                "usage: " << cmd << " <model> <rows> <seed> [col ...]");
+    PB_THROW_IF(!fields, "usage: SAMPLEB <model> <rows> <seed> [col ...]");
     int col = 0;
     while (fields >> col) request.columns.push_back(col);
     // Extraction must have stopped at end-of-line, not at a non-integer
     // token — a typo'd projection must ERR, not silently serve a prefix.
     PB_THROW_IF(!fields.eof(),
-                "usage: " << cmd << " <model> <rows> <seed> [col ...]");
+                "usage: SAMPLEB <model> <rows> <seed> [col ...]");
     PB_THROW_IF(request.num_rows < 0 ||
                     request.num_rows > options_.max_rows_per_request,
                 "row count out of range [0, "
@@ -1320,11 +1336,8 @@ void ServeServer::StartSample(const std::shared_ptr<Session>& s,
     return;
   }
 
-  auto b = std::make_unique<BatchContext>(
-      this, s, request.num_rows,
-      cmd == "SAMPLEB" ? WireSampleSink::Format::kBinary
-                       : WireSampleSink::Format::kCsv,
-      request.deadline);
+  auto b = std::make_unique<BatchContext>(this, s, request.num_rows,
+                                          request.deadline);
   b->span = std::move(span);
   request.span = &b->span;
   try {
@@ -1475,7 +1488,7 @@ void ServeServer::FinishBatch(const std::shared_ptr<Session>& s) {
     FinishRequest(s);
     return;
   }
-  b->writer.flush();  // the END line / end frame may still be staged
+  b->writer.flush();  // the end frame may still be staged
   const SampleResult& result = b->cursor->result();
   b->span.rows = static_cast<uint64_t>(result.rows);
   rows_streamed_total_->Add(static_cast<uint64_t>(result.rows));
@@ -1587,43 +1600,6 @@ void ServeServer::HandleControlLine(const std::string& cmd,
     const std::string payload = metrics_.RenderPrometheus() +
                                 MetricsRegistry::Global().RenderPrometheus();
     out << "OK " << payload.size() << "\n" << payload;
-    return;
-  }
-
-  if (cmd == "STATS") {
-    // Same keys, order and semantics as before the metrics migration; the
-    // values now come from the registry counters via the stats() view.
-    const ServeServerStats server_stats = stats();
-    const AdmissionGate& gate = sampling_.admission();
-    MarginalStore& store = MarginalStore::Instance();
-    MarginalStoreStats m = store.stats();
-    std::vector<std::pair<std::string, uint64_t>> counters = {
-        {"sample_stream_version",
-         static_cast<uint64_t>(NetworkSampler::kSampleStreamVersion)},
-        {"connections", server_stats.connections},
-        {"requests", server_stats.requests},
-        {"errors", server_stats.errors},
-        {"rows_streamed", static_cast<uint64_t>(server_stats.rows_streamed)},
-        {"shed_sessions", server_stats.shed_sessions},
-        {"shed_requests", server_stats.shed_requests},
-        {"live_sessions", static_cast<uint64_t>(live_sessions())},
-        {"active_batches", static_cast<uint64_t>(gate.active())},
-        {"pool_admitted_total", gate.admitted_total()},
-        {"pool_inline_total", gate.bypassed_total()},
-        {"batch_shed_total", gate.shed_total()},
-        {"marginal_cache_enabled", store.enabled() ? 1u : 0u},
-        {"marginal_hits", m.hits},
-        {"marginal_misses", m.misses},
-        {"marginal_evictions", m.evictions},
-        {"marginal_skipped", m.skipped},
-        {"marginal_entries", m.entries},
-        {"marginal_bytes", m.bytes},
-        {"marginal_byte_budget", store.byte_budget()},
-    };
-    out << "OK " << counters.size() << "\n";
-    for (const auto& [name, value] : counters) {
-      out << "STAT " << name << " " << value << "\n";
-    }
     return;
   }
 

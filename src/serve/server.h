@@ -1,29 +1,21 @@
 // Line-protocol TCP front-end over a ModelRegistry.
 //
-// One short text line per request, "OK ..." / "ERR <message>" responses;
-// sampled rows stream as CSV between the OK line and an "END" line, so a
-// client needs nothing beyond a line reader. The protocol:
+// One short text line per request, "OK ..." / "ERR <message>" responses.
+// Sampled rows stream as binary frames (serve/wire.h) after the OK line;
+// everything else is text. The protocol:
 //
 //   PING                                 -> OK PONG
 //   LIST                                 -> OK <k>
 //                                           k × "MODEL <name> <attrs> <rows>
 //                                                <epsilon>"
-//   SAMPLE <model> <rows> <seed> [col…]  -> OK <rows> <cols>
-//                                           CSV header + <rows> CSV lines
-//                                           END
 //   SAMPLEB <model> <rows> <seed> [col…] -> OK <rows> <cols>
-//                                           CSV header line (column names),
-//                                           then binary frames (serve/
-//                                           wire.h): schema frame, row
-//                                           frames, end frame
+//                                           column-name header line (comma-
+//                                           separated), then binary frames:
+//                                           schema frame, row frames, end
+//                                           frame
 //   QUERY <model> <attr> [attr…]         -> OK <vars> <card…>
 //                                           cell probabilities, whitespace-
 //                                           separated, wrapped across lines
-//   STATS                                -> OK <k>
-//                                           k × "STAT <name> <value>":
-//                                           server counters plus the
-//                                           process-wide MarginalStore
-//                                           hit/miss/eviction/byte gauges
 //   HEALTH                               -> OK <READY|DRAINING> <sessions>
 //                                           <active_batches> — the poll
 //                                           target for boot scripts and
@@ -32,28 +24,31 @@
 //                                           <nbytes> bytes of Prometheus
 //                                           text exposition (this server's
 //                                           registry + the process-global
-//                                           one: request/stage latency
-//                                           histograms, pool/marginal-store/
-//                                           sampler telemetry). Scrape with
+//                                           one: request counters, stage
+//                                           latency histograms, pool/
+//                                           marginal-store/sampler
+//                                           telemetry). Scrape with
 //                                           tools/privbayes_stats.
 //   DROP <model>                         -> OK DROPPED <model>
 //   CANCEL                               -> (no reply) abort the in-flight
-//                                           SAMPLE/SAMPLEB on this session:
-//                                           the stream ends with the in-band
-//                                           CANCELLED marker and the
-//                                           admission slot is released. A
-//                                           CANCEL with nothing in flight is
-//                                           ignored. Fire-and-forget — it is
-//                                           the one command with no response
-//                                           of its own.
+//                                           SAMPLEB on this session: the
+//                                           stream ends with a CANCELLED
+//                                           error frame and the admission
+//                                           slot is released. A CANCEL with
+//                                           nothing in flight is ignored.
+//                                           Fire-and-forget — it is the one
+//                                           command with no response of its
+//                                           own.
 //   QUIT                                 -> OK BYE (connection closes)
+//
+// Any other command gets "ERR unknown command '<cmd>'" and the connection
+// stays usable.
 //
 // Failure framing: an error detected before any row bytes went out is a
 // plain "ERR <message>" line. An error mid-stream (deadline expiry, an
-// exception after the OK line) can no longer use that channel — the client
-// would parse it as a row — so it is reported in-band: the CSV stream emits
-// a "!ERR <message>" trailer followed by "END", the binary stream an error
-// frame. Either way the connection stays usable for the next request.
+// exception after the OK line) can no longer use that channel, so the
+// stream ends with an error frame instead of the end frame. Either way the
+// connection stays usable for the next request.
 //
 // Threading model (event-driven): a small fixed pool of event-loop threads
 // (options.event_loops) owns every session socket through one epoll
@@ -61,7 +56,7 @@
 // accepting (the listen socket is registered in every loop with
 // EPOLLEXCLUSIVE so the kernel spreads wakeups), incremental request-line
 // parsing out of per-session read buffers, and draining per-session write
-// queues on EPOLLOUT. SAMPLE/SAMPLEB/QUERY bodies run on a separate small
+// queues on EPOLLOUT. SAMPLEB/QUERY bodies run on a separate small
 // worker pool (options.batch_workers) that never touches a socket: a batch
 // renders chunks into its session's bounded write queue
 // (options.max_write_buffer) and PARKS when the queue is full, resuming
@@ -75,7 +70,7 @@
 // it. options.max_sessions bounds live connections — an accept beyond it is
 // answered with one "ERR RESOURCE_EXHAUSTED ..." line and closed. options.
 // max_active_batches bounds concurrently RUNNING sample batches (see
-// AdmissionGate): a SAMPLE/SAMPLEB beyond it gets "ERR RESOURCE_EXHAUSTED
+// AdmissionGate): a SAMPLEB beyond it gets "ERR RESOURCE_EXHAUSTED
 // ..." on the still-synchronized connection. Both markers map to the
 // client's typed kShedding error, which is retryable with backoff.
 //
@@ -90,14 +85,14 @@
 //
 // Deadlines and idle timeouts are enforced by the event loops' timers, not
 // socket options: options.request_deadline (0 = none) bounds each
-// SAMPLE/SAMPLEB response — expiry between chunks (or while parked on a
-// stuffed write queue) aborts the batch with a DEADLINE_EXCEEDED in-band
-// marker, releasing its admission slot. options.idle_timeout (0 = none)
+// SAMPLEB response — expiry between chunks (or while parked on a stuffed
+// write queue) aborts the batch with a DEADLINE_EXCEEDED error frame,
+// releasing its admission slot. options.idle_timeout (0 = none)
 // closes sessions that stay silent between requests, via an LRU scan inside
 // the loop (the epoll timeout is the next expiry).
 //
 // Sampling goes through SamplingService (deterministic chunked streaming:
-// the CSV for a (model, rows, seed) request is byte-identical on every
+// the frames for a (model, rows, seed) request are byte-identical on every
 // connection); queries through QueryService. The registry may be hot-
 // swapped by other threads (or by DROP) while connections stream.
 
@@ -131,11 +126,11 @@ struct ServeServerOptions {
   int port = 0;
   /// Batches that may use the shared thread pool concurrently.
   int max_parallel_batches = 2;
-  /// Upper bound on SAMPLE row counts (one request is one TCP response).
+  /// Upper bound on SAMPLEB row counts (one request is one TCP response).
   int64_t max_rows_per_request = int64_t{16} << 20;
-  /// Wall-clock budget per SAMPLE/SAMPLEB response, checked between chunks
-  /// (and while parked on a full write queue); expiry aborts the stream with
-  /// an in-band DEADLINE_EXCEEDED marker instead of sampling into a slow
+  /// Wall-clock budget per SAMPLEB response, checked between chunks (and
+  /// while parked on a full write queue); expiry aborts the stream with a
+  /// DEADLINE_EXCEEDED error frame instead of sampling into a slow
   /// socket while holding an admission slot. Zero disables the deadline.
   std::chrono::milliseconds request_deadline{0};
   /// A session idle (or stalled mid-request-line) for this long between
@@ -146,9 +141,9 @@ struct ServeServerOptions {
   /// RESOURCE_EXHAUSTED line and closed. Zero = unbounded. Sessions are
   /// cheap (no thread each), so this bounds fds and buffers, not stacks.
   int max_sessions = 512;
-  /// Concurrently RUNNING sample batches beyond which SAMPLE/SAMPLEB
-  /// requests are shed with RESOURCE_EXHAUSTED (see AdmissionGate's
-  /// max_active). Zero = never shed.
+  /// Concurrently RUNNING sample batches beyond which SAMPLEB requests are
+  /// shed with RESOURCE_EXHAUSTED (see AdmissionGate's max_active). Zero =
+  /// never shed.
   int max_active_batches = 0;
   /// Slow-request threshold in milliseconds: a traced request whose total
   /// latency crosses it is emitted as one structured stage-timing log line.
@@ -163,17 +158,15 @@ struct ServeServerOptions {
   /// the loop drains the queue below half. The queue can overshoot by at
   /// most one rendered chunk. 0 picks the default (4 MiB).
   size_t max_write_buffer = 0;
-  /// Worker threads executing SAMPLE/SAMPLEB/QUERY bodies (chunk sampling
+  /// Worker threads executing SAMPLEB/QUERY bodies (chunk sampling
   /// still fans out through the shared ThreadPool under the AdmissionGate).
   /// 0 picks the default: max(4, max_parallel_batches + 2).
   int batch_workers = 0;
 };
 
-/// Counters exposed through the STATS command (plus the MarginalStore
-/// gauges, which live in data/marginal_store.h). Since the metrics
-/// migration this is a point-in-time VIEW assembled from the server's
-/// MetricsRegistry counters — kept so STATS consumers and tests see the
-/// same keys and semantics as before.
+/// Point-in-time view of the server's request counters, read from its
+/// MetricsRegistry (METRICS exposes the same values as
+/// privbayes_serve_*_total series).
 struct ServeServerStats {
   uint64_t connections = 0;
   uint64_t requests = 0;
@@ -181,7 +174,7 @@ struct ServeServerStats {
   int64_t rows_streamed = 0;
   /// Connections refused by the max_sessions cap.
   uint64_t shed_sessions = 0;
-  /// SAMPLE/SAMPLEB requests refused by the active-batch cap.
+  /// SAMPLEB requests refused by the active-batch cap.
   uint64_t shed_requests = 0;
 };
 
@@ -240,7 +233,7 @@ class ServeServer {
  private:
   struct EventLoop;     // one epoll thread (server.cc)
   struct Session;       // one connection, owned by its loop (server.cc)
-  struct BatchContext;  // one in-flight SAMPLE/SAMPLEB stream (server.cc)
+  struct BatchContext;  // one in-flight SAMPLEB stream (server.cc)
   class WorkerPool;     // runs request bodies off the loops (server.cc)
   friend class ServeSessionWriter;
 
@@ -263,6 +256,7 @@ class ServeServer {
   void TouchIdle(EventLoop* loop, const std::shared_ptr<Session>& s);
   void ExpireIdle(EventLoop* loop);
   void CheckParkedDeadlines(EventLoop* loop);
+  void StopListening(EventLoop* loop);
   void AnnounceDrain(EventLoop* loop);
   void HardCloseAll(EventLoop* loop);
 
@@ -271,7 +265,7 @@ class ServeServer {
   void ExecuteRequest(std::shared_ptr<Session> s, std::string line);
   void ExecuteQuery(const std::shared_ptr<Session>& s,
                     std::istringstream& fields);
-  void StartSample(const std::shared_ptr<Session>& s, const std::string& cmd,
+  void StartSample(const std::shared_ptr<Session>& s,
                    std::istringstream& fields);
   void DriveBatch(std::shared_ptr<Session> s);
   void AbortBatch(const std::shared_ptr<Session>& s, const std::string& msg);
@@ -322,7 +316,6 @@ class ServeServer {
   Histogram* epoll_wait_seconds_ = nullptr;
   Histogram* epoll_dispatch_seconds_ = nullptr;
   Histogram* write_queue_bytes_ = nullptr;
-  RequestLatency lat_sample_;
   RequestLatency lat_sampleb_;
   RequestLatency lat_query_;
 
@@ -340,8 +333,11 @@ class ServeServer {
   std::vector<std::unique_ptr<std::atomic<int>>> loop_session_counts_;
 
   std::atomic<int> session_count_{0};
-  mutable std::mutex sessions_mu_;       // pairs with sessions_cv_ only
-  std::condition_variable sessions_cv_;  // signaled as sessions close
+  mutable std::mutex sessions_mu_;  // pairs with sessions_cv_
+  /// Signaled as sessions close and as loops stop listening.
+  std::condition_variable sessions_cv_;
+  /// Loops still holding listen_fd_ in their epoll set (under sessions_mu_).
+  int listening_loops_ = 0;
 };
 
 }  // namespace privbayes

@@ -4,7 +4,7 @@
 //
 // Two framings share one receive buffer:
 //   * text lines — '\n'-terminated ('\r' tolerated), used by every command
-//     and by the CSV row stream;
+//     and by the SAMPLEB column-name header;
 //   * binary frames — u32 little-endian payload length followed by the
 //     payload, whose first byte is a frame type. The SAMPLEB row stream is
 //     a schema frame, then row frames (u16 row count + columns packed at
@@ -36,10 +36,10 @@
 
 namespace privbayes {
 
-/// Longest accepted wire line. Protocol lines are tiny and CSV rows are
-/// bounded by the schema width; anything longer is a broken or hostile
-/// peer, and the cap keeps one connection from growing its buffer without
-/// bound.
+/// Longest accepted wire line. Protocol lines are tiny and the SAMPLEB
+/// name header is bounded by the schema width; anything longer is a broken
+/// or hostile peer, and the cap keeps one connection from growing its
+/// buffer without bound.
 inline constexpr size_t kMaxWireLine = size_t{1} << 20;
 
 /// Longest accepted binary frame payload. A row frame is at most 65535 rows
@@ -144,7 +144,8 @@ ssize_t FaultySend(int fd, const void* buf, size_t len);
 
 /// Receive-side buffer state. Consumed bytes are tracked by a cursor and
 /// compacted in bulk, so extracting k lines from one recv chunk is O(chunk)
-/// rather than O(k·chunk) — the client's bulk CSV read path depends on it.
+/// rather than O(k·chunk) — pipelined request lines on the server and
+/// wrapped QUERY cells on the client depend on it.
 /// Line reads and exact binary reads share the buffer, so a frame stream
 /// may follow a text line on the same connection.
 struct WireBuffer {

@@ -1,8 +1,8 @@
 // privbayes_serve: TCP model-serving daemon.
 //
 // Holds a ModelRegistry of fitted PrivBayes models and serves the wire
-// protocol of serve/server.h (CSV and binary row streaming + direct
-// marginal queries, optional per-request deadlines and session idle
+// protocol of serve/server.h (binary row streaming + direct marginal
+// queries, optional per-request deadlines and session idle
 // timeouts). Models come from three sources, combinable and repeatable:
 //
 //   --fit  NAME=DATASET[:rows[:eps]]   fit a paper dataset in-process
@@ -197,7 +197,7 @@ int main(int argc, char** argv) {
       // RESOURCE_EXHAUSTED line instead of spawning a thread.
       options.max_sessions = std::atoi(next().c_str());
     } else if (arg == "--max-active-batches") {
-      // Running-batch cap (0 = never shed): SAMPLE/SAMPLEB beyond it get
+      // Running-batch cap (0 = never shed): SAMPLEB requests beyond it get
       // RESOURCE_EXHAUSTED and the client backs off.
       options.max_active_batches = std::atoi(next().c_str());
     } else if (arg == "--event-loops") {

@@ -1,4 +1,4 @@
-// privbayes_stats: Prometheus scraper / stats poker for a running server.
+// privbayes_stats: Prometheus scraper for a running server.
 //
 // One-shot by default: connects, issues METRICS, writes the Prometheus text
 // exposition to stdout, exits 0. That makes it composable the way node
@@ -9,8 +9,6 @@
 //   privbayes_stats --port 7878 --watch-ms 1000 scrape every second until
 //                                               killed (scrapes separated
 //                                               by a blank line)
-//   privbayes_stats --port 7878 --stats         legacy STATS counters
-//                                               ("name value" per line)
 
 #include <chrono>
 #include <cstdio>
@@ -27,7 +25,7 @@ namespace {
 
 [[noreturn]] void Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--host H] [--port P] [--watch-ms MS] [--stats]\n",
+               "usage: %s [--host H] [--port P] [--watch-ms MS]\n",
                argv0);
   std::exit(2);
 }
@@ -38,7 +36,6 @@ int main(int argc, char** argv) {
   std::string host = "127.0.0.1";
   int port = 7878;
   long long watch_ms = 0;
-  bool legacy_stats = false;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -52,8 +49,6 @@ int main(int argc, char** argv) {
       port = std::atoi(next().c_str());
     } else if (arg == "--watch-ms") {
       watch_ms = std::atoll(next().c_str());
-    } else if (arg == "--stats") {
-      legacy_stats = true;
     } else {
       Usage(argv[0]);
     }
@@ -62,15 +57,8 @@ int main(int argc, char** argv) {
   try {
     pb::ServeClient client(host, port);
     for (;;) {
-      if (legacy_stats) {
-        for (const auto& [name, value] : client.Stats()) {
-          std::printf("%s %llu\n", name.c_str(),
-                      static_cast<unsigned long long>(value));
-        }
-      } else {
-        const std::string payload = client.Metrics();
-        std::fwrite(payload.data(), 1, payload.size(), stdout);
-      }
+      const std::string payload = client.Metrics();
+      std::fwrite(payload.data(), 1, payload.size(), stdout);
       if (watch_ms <= 0) break;
       std::printf("\n");
       std::fflush(stdout);
