@@ -1,6 +1,6 @@
-// Extra ablation (DESIGN.md §2.3): sensitivity of network quality to the
-// data-independent candidate cap the benches use in place of the paper's
-// exhaustive candidate enumeration. If the Σ-mutual-information curve is
+// Extra ablation (README, "Reproducing the paper"): sensitivity of network
+// quality to the data-independent candidate cap the benches use in place of
+// the paper's exhaustive candidate enumeration. If the Σ-mutual-information curve is
 // flat in the cap, the cap is a safe throughput substitution.
 
 #include <string>

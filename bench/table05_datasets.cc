@@ -13,7 +13,7 @@ namespace pb = privbayes;
 
 int main() {
   pb::PrintBenchHeader(
-      "Table 5", "Dataset characteristics (synthetic stand-ins, DESIGN.md §2)",
+      "Table 5", "Dataset characteristics (synthetic stand-ins)",
       1);
   std::printf("%-8s %12s %14s %12s\n", "Dataset", "Cardinality",
               "Dimensionality", "Domain size");

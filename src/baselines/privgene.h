@@ -9,10 +9,9 @@
 // needs a workable slice of budget), so small ε buys almost no evolution —
 // the behaviour visible in Figs. 16–19.
 //
-// Faithful simplifications vs [50] (documented in DESIGN.md): a fixed
-// selections-per-round count instead of the paper's adaptive schedule, and
-// Gaussian rather than bit-flip mutations (the SVM parameter space is
-// continuous here).
+// Simplifications vs [50]: a fixed selections-per-round count instead of
+// the paper's adaptive schedule, and Gaussian rather than bit-flip mutations
+// (the SVM parameter space is continuous here).
 
 #ifndef PRIVBAYES_BASELINES_PRIVGENE_H_
 #define PRIVBAYES_BASELINES_PRIVGENE_H_

@@ -39,8 +39,9 @@ std::vector<std::string> Names(const std::vector<EncodingMethod>& methods) {
   return names;
 }
 
-// Evaluation-workload subsample size (identical across methods; see
-// DESIGN.md §2.5). ACS full-domain projections make big workloads costly.
+// Evaluation-workload subsample size, drawn with a fixed seed so every
+// method sees the same queries (README, "Reproducing the paper"). ACS
+// full-domain projections make big workloads costly.
 size_t EvalQueriesFor(const std::string& dataset) {
   if (dataset == "ACS") return 40;
   return 120;

@@ -4,8 +4,8 @@
 // 80/20 train/test split and the paper's four classification targets.
 // Helpers run the two evaluation tasks — average α-way-marginal variation
 // distance and SVM misclassification — against any synthetic dataset or
-// marginal provider, with the workload-subsampling conventions of
-// DESIGN.md §2.5 applied identically to every method.
+// marginal provider, with the same fixed-seed workload subsample applied to
+// every method (README, "Reproducing the paper").
 
 #ifndef PRIVBAYES_BENCH_UTIL_TASKS_H_
 #define PRIVBAYES_BENCH_UTIL_TASKS_H_

@@ -10,7 +10,9 @@
 // The candidate count is d·C(d+1, k+1) over a full run (§4.1) — hours of
 // compute for k ≥ 6. `candidate_cap` optionally subsamples each iteration's
 // candidate set uniformly at random; the subsample is data-independent, so
-// the private variant's DP guarantee is unaffected (see DESIGN.md §2.3).
+// the private variant's DP guarantee is unaffected: the exponential
+// mechanism is ε-DP over any candidate set fixed before it looks at the
+// data (README, "Reproducing the paper").
 
 #ifndef PRIVBAYES_BN_GREEDY_BAYES_H_
 #define PRIVBAYES_BN_GREEDY_BAYES_H_

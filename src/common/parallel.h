@@ -1,4 +1,4 @@
-// Data-parallel helper used by candidate scoring, row-sharded counting and
+// Data-parallel helper used by row-sharded counting, noisy conditionals and
 // batch sampling.
 //
 // ParallelFor is a thin templated front end over the persistent

@@ -60,9 +60,22 @@ class ThreadPool {
   /// processed. `fn` must be safe to call concurrently on disjoint ranges.
   void Run(size_t n, size_t chunk, RangeFn fn, void* ctx);
 
-  /// Typed front end: invokes fn(begin, end) without std::function
-  /// indirection. Runs inline when n is small, the pool is empty, or the
-  /// caller is already a pool worker.
+  /// Typed Run: invokes fn(begin, end) without std::function indirection.
+  /// A chunk of 1 hands out indices one at a time, which balances items
+  /// whose costs vary.
+  template <typename Fn>
+  void Run(size_t n, size_t chunk, Fn&& fn) {
+    using F = std::remove_reference_t<Fn>;
+    Run(
+        n, chunk,
+        [](void* ctx, size_t begin, size_t end) {
+          (*static_cast<F*>(ctx))(begin, end);
+        },
+        const_cast<std::remove_const_t<F>*>(std::addressof(fn)));
+  }
+
+  /// Typed front end over one contiguous block per thread. Runs inline when
+  /// n is small, the pool is empty, or the caller is already a pool worker.
   template <typename Fn>
   void ParallelFor(size_t n, Fn&& fn, size_t min_per_thread = 64) {
     if (n == 0) return;
@@ -72,14 +85,7 @@ class ThreadPool {
       return;
     }
     size_t chunks = std::min(threads, n / min_per_thread);
-    size_t chunk = (n + chunks - 1) / chunks;
-    using F = std::remove_reference_t<Fn>;
-    Run(
-        n, chunk,
-        [](void* ctx, size_t begin, size_t end) {
-          (*static_cast<F*>(ctx))(begin, end);
-        },
-        const_cast<std::remove_const_t<F>*>(std::addressof(fn)));
+    Run(n, (n + chunks - 1) / chunks, fn);
   }
 
  private:

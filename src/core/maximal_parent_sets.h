@@ -13,7 +13,8 @@
 // falls back to a randomized maximal-set sampler — random greedy completion
 // to a maximality fixpoint — when the budget trips. The fallback is
 // data-independent (it looks only at schema cardinalities and τ), so using
-// it before the exponential mechanism costs no privacy (DESIGN.md §2.3).
+// it before the exponential mechanism costs no privacy: the mechanism is
+// ε-DP over any candidate set fixed without looking at the data.
 
 #ifndef PRIVBAYES_CORE_MAXIMAL_PARENT_SETS_H_
 #define PRIVBAYES_CORE_MAXIMAL_PARENT_SETS_H_

@@ -6,7 +6,7 @@
 
 #include "bn/greedy_bayes.h"
 #include "common/check.h"
-#include "common/parallel.h"
+#include "common/thread_pool.h"
 #include "core/maximal_parent_sets.h"
 #include "core/theta_usefulness.h"
 #include "data/marginal_store.h"
@@ -46,23 +46,29 @@ std::vector<double> ScoreAllCandidates(const Dataset& data,
   const int64_t n = data.num_rows();
   std::vector<double> scores(candidates.size());
   std::atomic<uint64_t> hits{0}, misses{0};
-  ParallelFor(
-      candidates.size(),
-      [&](size_t begin, size_t end) {
-        uint64_t local_hits = 0, local_misses = 0;
-        for (size_t c = begin; c < end; ++c) {
-          const APPair& pair = candidates[c];
-          bool hit = false;
-          std::shared_ptr<const ProbTable> counts =
-              store.Counts(data, GattrsScratch(pair), &hit);
-          (hit ? local_hits : local_misses) += 1;
-          scores[c] = ComputeScoreForChild(score, *counts, GenVarId(pair.attr),
-                                           n, f_max_states);
-        }
-        hits.fetch_add(local_hits, std::memory_order_relaxed);
-        misses.fetch_add(local_misses, std::memory_order_relaxed);
-      },
-      /*min_per_thread=*/8);
+  auto score_range = [&](size_t begin, size_t end) {
+    uint64_t local_hits = 0, local_misses = 0;
+    for (size_t c = begin; c < end; ++c) {
+      const APPair& pair = candidates[c];
+      bool hit = false;
+      std::shared_ptr<const ProbTable> counts =
+          store.Counts(data, GattrsScratch(pair), &hit);
+      (hit ? local_hits : local_misses) += 1;
+      scores[c] = ComputeScoreForChild(score, *counts, GenVarId(pair.attr), n,
+                                       f_max_states);
+    }
+    hits.fetch_add(local_hits, std::memory_order_relaxed);
+    misses.fetch_add(local_misses, std::memory_order_relaxed);
+  };
+  // Candidate costs vary (F's frontier size depends on the joint), so pool
+  // threads claim candidates one at a time rather than in equal blocks.
+  // Fewer than 16 candidates run inline; so does a call from inside another
+  // parallel region, and counting nested under a candidate runs inline too.
+  if (candidates.size() < 16) {
+    score_range(0, candidates.size());
+  } else {
+    ThreadPool::Global().Run(candidates.size(), /*chunk=*/1, score_range);
+  }
   if (stats != nullptr) {
     stats->hits += hits.load();
     stats->misses += misses.load();

@@ -44,8 +44,9 @@ struct PrivBayesOptions {
   /// Overrides the θ-derived degree (binary algorithm only; tests/ablation).
   int fixed_k = -1;
   /// Per-iteration cap on exponential-mechanism candidates (0 = exact
-  /// enumeration, the paper's setting; benches cap for speed — see
-  /// DESIGN.md §2.3; the cap is data-independent and privacy-neutral).
+  /// enumeration, the paper's setting; benches cap for speed). The cap
+  /// subsamples candidates without looking at the data, so it is
+  /// privacy-neutral (README, "Reproducing the paper").
   size_t candidate_cap = 0;
   /// Frontier cap of the F dynamic program (0 = exact).
   size_t f_max_states = 8192;

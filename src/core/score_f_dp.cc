@@ -9,68 +9,12 @@ namespace privbayes {
 
 namespace {
 
+// A reachable (a, b) state. Frontiers are sorted by a strictly ascending,
+// which on a non-dominated frontier means b strictly descending.
 struct State {
   int64_t a;
   int64_t b;
 };
-
-// Merges two frontiers (each sorted by a ascending, b strictly descending)
-// and removes dominated states. Output sorted the same way.
-void MergeAndPrune(const std::vector<State>& lhs, const std::vector<State>& rhs,
-                   std::vector<State>* out) {
-  // Merge by a ascending; on equal a keep only the max-b state (the other is
-  // dominated), which the tie-break below guarantees comes first.
-  std::vector<State> merged;
-  merged.reserve(lhs.size() + rhs.size());
-  size_t i = 0, j = 0;
-  while (i < lhs.size() || j < rhs.size()) {
-    bool take_lhs;
-    if (i == lhs.size()) {
-      take_lhs = false;
-    } else if (j == rhs.size()) {
-      take_lhs = true;
-    } else if (lhs[i].a != rhs[j].a) {
-      take_lhs = lhs[i].a < rhs[j].a;
-    } else {
-      take_lhs = lhs[i].b >= rhs[j].b;
-    }
-    const State& s = take_lhs ? lhs[i++] : rhs[j++];
-    if (!merged.empty() && merged.back().a == s.a) continue;  // dominated
-    merged.push_back(s);
-  }
-  // Right-to-left scan: a state survives iff its b strictly exceeds the b of
-  // every state with larger a.
-  out->clear();
-  out->reserve(merged.size());
-  int64_t max_b = -1;
-  for (size_t idx = merged.size(); idx > 0; --idx) {
-    const State& s = merged[idx - 1];
-    if (s.b > max_b) {
-      out->push_back(s);
-      max_b = s.b;
-    }
-  }
-  std::reverse(out->begin(), out->end());
-}
-
-// Thins `frontier` to at most ~max_states states by keeping, per bucket of
-// `a` of width g, the max-b state (= the first state in the bucket, since b
-// is descending in a).
-void Thin(std::vector<State>* frontier, size_t max_states, int64_t n) {
-  if (max_states == 0 || frontier->size() <= max_states) return;
-  int64_t g = std::max<int64_t>(1, n / static_cast<int64_t>(max_states));
-  std::vector<State> thinned;
-  thinned.reserve(max_states + 2);
-  int64_t last_bucket = -1;
-  for (const State& s : *frontier) {
-    int64_t bucket = s.a / g;
-    if (bucket != last_bucket) {
-      thinned.push_back(s);
-      last_bucket = bucket;
-    }
-  }
-  frontier->swap(thinned);
-}
 
 double Objective(const State& s, int64_t n) {
   double half = 0.5;
@@ -79,34 +23,85 @@ double Objective(const State& s, int64_t n) {
   return (ta > 0 ? ta : 0) + (tb > 0 ? tb : 0);
 }
 
+// One DP step for a column with c0 > 0: merges the two shifted copies of
+// `src` — (a + c0, b) and (a, b + c1) — and drops dominated states in one
+// pass from the largest a down. A state survives iff its b beats every b at
+// a larger a; on equal a the larger b comes first, so the other is dropped.
+// Survivors are written backwards ending at `dst_end`; returns the first.
+State* MergeShifted(const State* src, size_t m, int64_t c0, int64_t c1,
+                    State* dst_end) {
+  State* w = dst_end;
+  int64_t max_b = -1;
+  ptrdiff_t i = static_cast<ptrdiff_t>(m) - 1;  // next (a + c0, b) state
+  ptrdiff_t j = i;                              // next (a, b + c1) state
+  // c0 > 0 puts (src[0].a, ·) below every shifted a, so j outlasts i.
+  while (j >= 0) {
+    State s = {src[j].a, src[j].b + c1};
+    const int64_t ai = i >= 0 ? src[i].a + c0 : -1;
+    if (ai > s.a || (ai == s.a && src[i].b >= s.b)) {
+      s = {ai, src[i--].b};
+    } else {
+      --j;
+    }
+    if (s.b > max_b) *--w = s;
+    max_b = std::max(max_b, s.b);
+  }
+  return w;
+}
+
+// Keeps, per bucket of a of width g = max(1, ⌊n/max_states⌋), the bucket's
+// max-b state (its first, since b descends as a rises). In place; returns
+// the new size. See score_f_dp.h for the bound this gives.
+size_t Thin(State* frontier, size_t size, size_t max_states, int64_t n) {
+  const int64_t g = std::max<int64_t>(1, n / static_cast<int64_t>(max_states));
+  size_t kept = 0;
+  for (size_t idx = 0; idx < size; ++idx) {
+    if (kept == 0 || frontier[idx].a / g != frontier[kept - 1].a / g) {
+      frontier[kept++] = frontier[idx];
+    }
+  }
+  return kept;
+}
+
 }  // namespace
 
 double ScoreFFromColumns(std::span<const FColumn> columns, int64_t n,
                          size_t max_states) {
   PB_THROW_IF(n <= 0, "F requires positive n");
-  std::vector<State> frontier = {{0, 0}};
-  std::vector<State> with_a, with_b, next;
-  int64_t half_up = (n + 1) / 2;  // a >= ceil(n/2) makes (1/2 - a/n)+ vanish
+  // Ping-pong frontier buffers, reused across calls on this thread (both
+  // stay non-empty): the DP allocates only when a frontier outgrows them.
+  thread_local std::vector<State> src(1), dst;
+  State* frontier = src.data();
+  frontier[0] = {0, 0};
+  size_t size = 1;
+  const int64_t half_up = (n + 1) / 2;  // a >= ⌈n/2⌉ zeroes (½ − a/n)₊
   for (const FColumn& col : columns) {
     PB_CHECK(col.first >= 0 && col.second >= 0);
-    with_a.clear();
-    with_b.clear();
-    with_a.reserve(frontier.size());
-    with_b.reserve(frontier.size());
-    for (const State& s : frontier) {
-      with_a.push_back({s.a + col.first, s.b});
-      with_b.push_back({s.a, s.b + col.second});
+    if (col.first == 0) {
+      // (a, b + c1) dominates (a, b) state for state: a plain shift.
+      for (size_t idx = 0; idx < size; ++idx) frontier[idx].b += col.second;
+    } else {
+      if (dst.size() < 2 * size) dst.resize(2 * size);
+      State* end = dst.data() + 2 * size;
+      State* first = MergeShifted(frontier, size, col.first, col.second, end);
+      size = static_cast<size_t>(end - first);
+      frontier = first;
+      src.swap(dst);
     }
-    MergeAndPrune(with_a, with_b, &next);
-    Thin(&next, max_states, n);
-    frontier.swap(next);
-    // Early exit: some state already zeroes both penalty terms.
-    for (const State& s : frontier) {
-      if (s.a >= half_up && s.b >= half_up) return 0.0;
+    if (max_states != 0 && size > max_states) {
+      size = Thin(frontier, size, max_states, n);
     }
+    // Early exit: some state zeroes both penalty terms. b descends as a
+    // rises, so the first state with a >= ⌈n/2⌉ has the largest such b.
+    const State* hit = std::partition_point(
+        frontier, frontier + size,
+        [half_up](const State& s) { return s.a < half_up; });
+    if (hit != frontier + size && hit->b >= half_up) return 0.0;
   }
   double best = 1.0;
-  for (const State& s : frontier) best = std::min(best, Objective(s, n));
+  for (size_t idx = 0; idx < size; ++idx) {
+    best = std::min(best, Objective(frontier[idx], n));
+  }
   return -best;
 }
 

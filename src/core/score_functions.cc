@@ -96,21 +96,29 @@ double ScoreRForChild(const ProbTable& joint_counts, int child_var,
 
 double ScoreFForChild(const ProbTable& joint_counts, int child_var, int64_t n,
                       size_t max_states) {
-  if (!joint_counts.vars().empty() && joint_counts.vars().back() == child_var) {
-    return ScoreF(joint_counts, n, max_states);
+  PB_THROW_IF(n <= 0, "scores need n > 0");
+  const int pos = joint_counts.FindVar(child_var);
+  PB_THROW_IF(pos < 0, "child variable not in table");
+  PB_THROW_IF(joint_counts.card(pos) != 2,
+              "F requires a binary child (Thm 5.1: general case is NP-hard)");
+  // The (X=0, X=1) pair of each parent value sits `stride` cells apart.
+  // Walking the X=0 cells in increasing flat index visits the parent values
+  // in the order a child-last Reorder would lay them out, so no permuted
+  // copy is needed and the DP sees the same column sequence.
+  size_t stride = 1;
+  for (int v = pos + 1; v < joint_counts.num_vars(); ++v) {
+    stride *= static_cast<size_t>(joint_counts.card(v));
   }
-  // F's column DP reads (X=0, X=1) pairs at stride 1, so a canonical-order
-  // table is permuted child-last first. These tables are small (binary
-  // domains, 2^(k+1) cells) — the permutation is noise next to the DP.
-  std::vector<int> order;
-  order.reserve(joint_counts.vars().size());
-  for (int v : joint_counts.vars()) {
-    if (v != child_var) order.push_back(v);
+  thread_local std::vector<FColumn> columns;
+  columns.clear();
+  for (size_t block = 0; block < joint_counts.size(); block += 2 * stride) {
+    for (size_t f = block; f < block + stride; ++f) {
+      columns.push_back(
+          {static_cast<int64_t>(std::llround(joint_counts[f])),
+           static_cast<int64_t>(std::llround(joint_counts[f + stride]))});
+    }
   }
-  PB_THROW_IF(order.size() == joint_counts.vars().size(),
-              "child variable not in table");
-  order.push_back(child_var);
-  return ScoreF(joint_counts.Reorder(order), n, max_states);
+  return ScoreFFromColumns(columns, n, max_states);
 }
 
 double ComputeScoreForChild(ScoreKind kind, const ProbTable& joint_counts,
@@ -127,20 +135,9 @@ double ComputeScoreForChild(ScoreKind kind, const ProbTable& joint_counts,
 }
 
 double ScoreF(const ProbTable& joint_counts, int64_t n, size_t max_states) {
-  PB_THROW_IF(n <= 0, "scores need n > 0");
   PB_THROW_IF(joint_counts.num_vars() < 1, "F needs a child variable");
-  PB_THROW_IF(joint_counts.cards().back() != 2,
-              "F requires a binary child (Thm 5.1: general case is NP-hard)");
-  // Child is last (stride 1): cells alternate (X=0, X=1) per parent value.
-  size_t num_columns = joint_counts.size() / 2;
-  std::vector<FColumn> columns(num_columns);
-  for (size_t c = 0; c < num_columns; ++c) {
-    double c0 = joint_counts[2 * c];
-    double c1 = joint_counts[2 * c + 1];
-    columns[c] = {static_cast<int64_t>(std::llround(c0)),
-                  static_cast<int64_t>(std::llround(c1))};
-  }
-  return ScoreFFromColumns(columns, n, max_states);
+  return ScoreFForChild(joint_counts, joint_counts.vars().back(), n,
+                        max_states);
 }
 
 double ComputeScore(ScoreKind kind, const ProbTable& joint_counts, int64_t n,

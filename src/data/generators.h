@@ -8,7 +8,7 @@
 // conditional distributions. This preserves the property every experiment in
 // §6 actually exercises — genuine low-degree correlation structure over the
 // right domain geometry — while the concrete bits differ from the originals
-// (see DESIGN.md §2 for the substitution argument).
+// (README, "Reproducing the paper").
 
 #ifndef PRIVBAYES_DATA_GENERATORS_H_
 #define PRIVBAYES_DATA_GENERATORS_H_

@@ -7,7 +7,7 @@
 // On ACS, |Q4| = C(23,4) = 8,855 marginals; projecting some baselines' full-
 // domain tables onto all of them is prohibitive, so a workload can be
 // subsampled with a fixed seed — every method is then evaluated on the SAME
-// subsample, keeping comparisons fair (DESIGN.md §2.5).
+// subsample, keeping comparisons fair.
 
 #ifndef PRIVBAYES_QUERY_MARGINAL_WORKLOAD_H_
 #define PRIVBAYES_QUERY_MARGINAL_WORKLOAD_H_

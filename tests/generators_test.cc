@@ -77,8 +77,8 @@ TEST(Generators, DifferentSeedsDiffer) {
 }
 
 // The populations must have genuine low-degree correlation structure — the
-// property every experiment relies on (DESIGN.md §2.1). We check that some
-// attribute pair carries substantial mutual information.
+// property every experiment relies on (see data/generators.h). We check that
+// some attribute pair carries substantial mutual information.
 TEST(Generators, PopulationsAreCorrelated) {
   for (const char* name : {"NLTCS", "ACS", "Adult", "BR2000"}) {
     Dataset d = MakeDatasetByName(name, 5, 4000);

@@ -100,6 +100,84 @@ TEST(PrivateGreedyBinary, RejectsNonBinarySchema) {
                std::invalid_argument);
 }
 
+// Golden networks: the structures LearnNetworkBinary returned with score F
+// before the frontier DP and candidate scheduling were rewritten. Any change
+// to F's value — in any bit that moves an exponential-mechanism pick — or to
+// which thread scores which candidate shows up here. CTest also runs these
+// with PRIVBAYES_THREADS=1, so they pin the result across thread counts.
+struct GoldenPair {
+  int attr;
+  std::vector<int> parents;
+};
+
+void ExpectGoldenNetwork(uint64_t data_seed, int rows, int k,
+                         size_t f_max_states, uint64_t rng_seed,
+                         const std::vector<GoldenPair>& want) {
+  Dataset data = MakeNltcs(data_seed, rows);
+  PrivateGreedyOptions opts;
+  opts.score = ScoreKind::kF;
+  opts.epsilon1 = 0.24;
+  opts.fixed_k = k;
+  opts.candidate_cap = 200;
+  opts.f_max_states = f_max_states;
+  Rng rng(rng_seed);
+  LearnedNetwork learned = LearnNetworkBinary(data, opts, rng, nullptr);
+  ASSERT_EQ(learned.net.size(), static_cast<int>(want.size()));
+  for (int i = 0; i < learned.net.size(); ++i) {
+    const APPair& got = learned.net.pair(i);
+    std::vector<int> parents;
+    for (const GenAttr& g : got.parents) {
+      EXPECT_EQ(g.level, 0);
+      parents.push_back(g.attr);
+    }
+    EXPECT_EQ(got.attr, want[i].attr) << "pair " << i;
+    EXPECT_EQ(parents, want[i].parents) << "pair " << i;
+  }
+}
+
+TEST(PrivateGreedyBinary, GoldenNetworkScoreF) {
+  // fit_binary's shape: full-size NLTCS, k = 6, 200 candidates per round,
+  // default f_max_states.
+  ExpectGoldenNetwork(1, 21574, 6, 8192, 13,
+                      {{6, {}},
+                       {4, {6}},
+                       {1, {6, 4}},
+                       {3, {6, 4, 1}},
+                       {11, {6, 4, 1, 3}},
+                       {8, {6, 4, 1, 3, 11}},
+                       {9, {6, 4, 1, 3, 11, 8}},
+                       {5, {6, 4, 1, 3, 8, 9}},
+                       {2, {6, 4, 1, 8, 9, 5}},
+                       {7, {6, 4, 1, 3, 11, 5}},
+                       {10, {3, 11, 9, 5, 2, 7}},
+                       {12, {1, 3, 5, 7, 8, 10}},
+                       {13, {3, 4, 5, 6, 7, 12}},
+                       {14, {5, 6, 7, 10, 11, 13}},
+                       {15, {3, 4, 5, 8, 11, 12}},
+                       {0, {3, 4, 5, 7, 10, 11}}});
+}
+
+TEST(PrivateGreedyBinary, GoldenNetworkScoreFThinned) {
+  // A cap of 64 states at n = 4,000 thins the frontier in most joints.
+  ExpectGoldenNetwork(2, 4000, 4, 64, 17,
+                      {{5, {}},
+                       {9, {5}},
+                       {3, {5, 9}},
+                       {10, {5, 9, 3}},
+                       {2, {5, 9, 3, 10}},
+                       {7, {5, 9, 3, 2}},
+                       {4, {5, 9, 3, 7}},
+                       {8, {9, 10, 2, 7}},
+                       {15, {5, 10, 2, 7}},
+                       {6, {9, 10, 2, 15}},
+                       {14, {4, 8, 15, 6}},
+                       {12, {9, 3, 7, 8}},
+                       {13, {4, 5, 6, 8}},
+                       {11, {5, 6, 9, 10}},
+                       {1, {3, 5, 8, 10}},
+                       {0, {3, 7, 8, 1}}});
+}
+
 TEST(PrivateGreedyGeneral, StructureRespectsTauAndBudget) {
   Dataset data = MakeAdult(6, 3000);
   PrivateGreedyOptions opts;

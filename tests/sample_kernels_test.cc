@@ -292,7 +292,9 @@ TEST(SampleStream, BitIdenticalAcrossDispatchThreadsAndDatasets) {
     // 16 concurrent callers share the sampler (and thread pool) at the
     // detected level; every one must see the reference bytes.
     std::vector<std::thread> callers;
-    std::vector<bool> ok(16, false);
+    // One byte per caller: std::vector<bool> packs flags into shared words,
+    // so concurrent writes to neighbouring flags would race.
+    std::vector<char> ok(16, false);
     for (int t = 0; t < 16; ++t) {
       callers.emplace_back([&, t] {
         Dataset got = sampler.SampleChunk(0xC0FFEEULL, 0, kRows,

@@ -10,7 +10,10 @@ Two modes:
       code is 0 — CI machines are noisy, so the diff informs rather than
       gates — EXCEPT for benchmarks matching --gate (e.g. the serving
       hot path), whose regressions are `::error::` annotations and make
-      the script exit 1.
+      the script exit 1. When the two files' hosts report different
+      `context.num_cpus`, every `threads:N` row with N > 1 is listed as
+      "not comparable" and neither diffed nor gated: its number measures
+      the host's core count as much as the code.
 
   bench_diff.py --trajectory RUN1.json RUN2.json ... [--markdown-out F]
       Render a benchmark × run markdown table of throughputs (the ROADMAP's
@@ -41,6 +44,7 @@ def metric(entry):
 
 
 def load(path):
+    """({name: (value, kind)}, context dict) for one benchmark JSON."""
     with open(path) as f:
         data = json.load(f)
     out = {}
@@ -50,7 +54,22 @@ def load(path):
         value, kind = metric(entry)
         if value is not None:
             out[entry["name"]] = (value, kind)
-    return out
+    return out, data.get("context", {})
+
+
+THREADS_RE = re.compile(r"/threads:(\d+)")
+
+
+def multi_threaded(name):
+    """True for a `threads:N` row with N > 1."""
+    m = THREADS_RE.search(name)
+    return bool(m) and int(m.group(1)) > 1
+
+
+def host(context):
+    """'num_cpus=4 simd=avx512' — what the markdown header prints."""
+    return (f"num_cpus={context.get('num_cpus', '?')} "
+            f"simd={context.get('simd', '?')}")
 
 
 def human(value):
@@ -78,7 +97,7 @@ def run_trajectory(paths, labels, markdown_out):
         return 2
     labels = labels or [os.path.splitext(os.path.basename(p))[0]
                         for p in paths]
-    runs = [load(p) for p in paths]
+    runs = [load(p)[0] for p in paths]
     names = sorted(set().union(*[set(r) for r in runs]))
 
     lines = ["# Benchmark trajectory", "",
@@ -102,23 +121,37 @@ def run_trajectory(paths, labels, markdown_out):
 
 
 def run_diff(baseline_path, new_path, threshold, markdown_out, gate=None):
-    base = load(baseline_path)
-    new = load(new_path)
+    base, base_ctx = load(baseline_path)
+    new, new_ctx = load(new_path)
     shared = sorted(set(base) & set(new))
     if not shared:
         print("bench_diff: no shared benchmark names; nothing to compare")
         return 0
 
+    # Multi-threaded rows scale with the core count: across hosts with
+    # different counts they are reported, never diffed or gated.
+    base_cpus = base_ctx.get("num_cpus")
+    new_cpus = new_ctx.get("num_cpus")
+    cpus_differ = base_cpus != new_cpus
     gate_re = re.compile(gate) if gate else None
     regressions = 0
     gated_failures = 0
+    not_comparable = 0
     md = ["# Benchmark diff", "",
-          f"`{baseline_path}` → `{new_path}`", "",
+          f"`{baseline_path}` ({host(base_ctx)}) → `{new_path}` "
+          f"({host(new_ctx)})", "",
           "| benchmark | baseline | new | ratio |", "|---|---:|---:|---:|"]
+    print(f"baseline host: {host(base_ctx)}; new host: {host(new_ctx)}")
     print(f"{'benchmark':52s} {'baseline':>12s} {'new':>12s} {'ratio':>7s}")
     for name in shared:
         b, _ = base[name]
         n, _ = new[name]
+        if cpus_differ and multi_threaded(name):
+            not_comparable += 1
+            note = f"not comparable: {base_cpus} cpus vs {new_cpus} cpus"
+            print(f"{name:52s} {b:12.4g} {n:12.4g}  {note}")
+            md.append(f"| `{name}` | {human(b)} | {human(n)} | {note} |")
+            continue
         ratio = n / b if b > 0 else float("inf")
         flag = ""
         if ratio < 1.0 - threshold:
@@ -143,8 +176,11 @@ def run_diff(baseline_path, new_path, threshold, markdown_out, gate=None):
             print(f"::error::gated benchmark disappeared from suite: {name}")
         else:
             print(f"::warning::benchmark disappeared from suite: {name}")
-    summary = (f"{len(shared)} compared, {regressions} regressed beyond "
-               f"{threshold:.0%}, {len(dropped)} dropped")
+    summary = (f"{len(shared) - not_comparable} compared, {regressions} "
+               f"regressed beyond {threshold:.0%}, {len(dropped)} dropped")
+    if not_comparable:
+        summary += (f", {not_comparable} multi-threaded not comparable "
+                    f"({base_cpus} vs {new_cpus} cpus)")
     if gate_re:
         summary += f", {gated_failures} gated failure(s) for /{gate}/"
     print(f"bench_diff: {summary}")

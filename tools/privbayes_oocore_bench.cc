@@ -105,9 +105,9 @@ int main(int argc, char** argv) {
 
     pb::PrivBayesOptions options;
     options.epsilon = epsilon;
-    // Data-independent exponential-mechanism candidate cap (privacy-neutral;
-    // see DESIGN.md §2.3): this bench measures the storage backend, not
-    // exact candidate enumeration.
+    // Data-independent exponential-mechanism candidate cap (privacy-neutral:
+    // the candidates are drawn without looking at the data): this bench
+    // measures the storage backend, not exact candidate enumeration.
     options.candidate_cap = 200;
     pb::PrivBayes mechanism(options);
     pb::Rng rng(pb::BenchSeed());
