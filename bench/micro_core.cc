@@ -1,5 +1,5 @@
 // google-benchmark microbenchmarks of the core operations: joint counting,
-// the three score functions, exponential-mechanism selection, and ancestral
+// the three score functions, exponential-mechanism selection, and columnar
 // sampling throughput.
 
 #include <benchmark/benchmark.h>
@@ -103,7 +103,7 @@ void BM_JointCountsPackedScalar(benchmark::State& state) {
   data.store();
   std::vector<pb::GenAttr> gattrs =
       PairGenAttrs(static_cast<int>(state.range(0)));
-  pb::SetSimdForTesting(pb::SimdLevel::kScalar, false);
+  pb::SetSimdForTesting(pb::SimdLevel::kScalar);
   for (auto _ : state) {
     benchmark::DoNotOptimize(data.JointCountsGeneralized(gattrs));
   }
@@ -112,7 +112,7 @@ void BM_JointCountsPackedScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_JointCountsPackedScalar)->Arg(5)->Arg(6)->Arg(7);
 
-// Generalized (taxonomy-level) counting on Adult: cached-column radix kernel
+// Generalized (taxonomy-level) counting on Adult: the packed radix kernel
 // vs the naive per-row Generalize pass.
 const pb::Dataset& Adult() {
   static const pb::Dataset* data = new pb::Dataset(pb::MakeAdult(1, 45222));
@@ -149,22 +149,7 @@ void BM_JointCountsGeneralizedCached(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * Adult().num_rows());
 }
-BENCHMARK(BM_JointCountsGeneralizedCached)->Arg(2)->Arg(4);
-
-// Radix kernel, minimal-bit-width packed gather vs raw uint16 columns on
-// the same generalized Adult sets (the gather reads 2–4× fewer bytes).
-void BM_JointCountsRadixPacked(benchmark::State& state) {
-  Adult().store();
-  std::vector<pb::GenAttr> gattrs =
-      AdultGeneralizedSet(static_cast<int>(state.range(0)));
-  pb::SetSimdForTesting(pb::DetectedSimdLevel(), /*packed_gather=*/true);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Adult().JointCountsGeneralized(gattrs));
-  }
-  pb::ResetSimdForTesting();
-  state.SetItemsProcessed(state.iterations() * Adult().num_rows());
-}
-BENCHMARK(BM_JointCountsRadixPacked)->Arg(2)->Arg(4)->Arg(6);
+BENCHMARK(BM_JointCountsGeneralizedCached)->Arg(2)->Arg(4)->Arg(6);
 
 // The same engine-dispatched counts served from an mmap-backed store: the
 // packed file is written once, mapped, and counted through the identical
@@ -198,19 +183,6 @@ void BM_JointCountsMmap(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * data.num_rows());
 }
 BENCHMARK(BM_JointCountsMmap)->Arg(1)->Arg(3)->Arg(5)->Arg(7)->Arg(9);
-
-void BM_JointCountsRadixRaw(benchmark::State& state) {
-  Adult().store();
-  std::vector<pb::GenAttr> gattrs =
-      AdultGeneralizedSet(static_cast<int>(state.range(0)));
-  pb::SetSimdForTesting(pb::DetectedSimdLevel(), /*packed_gather=*/false);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Adult().JointCountsGeneralized(gattrs));
-  }
-  pb::ResetSimdForTesting();
-  state.SetItemsProcessed(state.iterations() * Adult().num_rows());
-}
-BENCHMARK(BM_JointCountsRadixRaw)->Arg(2)->Arg(4)->Arg(6);
 
 void BM_ScoreI(benchmark::State& state) {
   const pb::Dataset& data = Nltcs();
@@ -266,75 +238,34 @@ void BM_ExponentialMechanism(benchmark::State& state) {
 }
 BENCHMARK(BM_ExponentialMechanism)->Arg(100)->Arg(1000)->Arg(10000);
 
-void BM_AncestralSampling(benchmark::State& state) {
-  const pb::Dataset& data = Nltcs();
-  pb::BayesNet net;
-  for (int i = 0; i < data.num_attrs(); ++i) {
-    pb::APPair p;
-    p.attr = i;
-    for (int j = std::max(0, i - 2); j < i; ++j) {
-      p.parents.push_back(pb::GenAttr{j, 0});
+// Sampler over NLTCS with a chain network (each attribute's parents are
+// its two predecessors) and noiseless binary conditionals.
+const pb::NetworkSampler& NltcsChainSampler() {
+  static const pb::NetworkSampler* sampler = [] {
+    const pb::Dataset& data = Nltcs();
+    pb::BayesNet net;
+    for (int i = 0; i < data.num_attrs(); ++i) {
+      pb::APPair p;
+      p.attr = i;
+      for (int j = std::max(0, i - 2); j < i; ++j) {
+        p.parents.push_back(pb::GenAttr{j, 0});
+      }
+      net.Add(std::move(p));
     }
-    net.Add(std::move(p));
-  }
-  pb::Rng crng(3);
-  pb::ConditionalSet cs =
-      pb::NoisyConditionalsBinary(data, net, 2, 0.0, crng, nullptr);
-  pb::Rng rng(4);
-  const int rows = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        pb::SampleFromNetwork(data.schema(), net, cs, rows, rng));
-  }
-  state.SetItemsProcessed(state.iterations() * rows);
+    pb::Rng crng(3);
+    pb::ConditionalSet cs =
+        pb::NoisyConditionalsBinary(data, net, 2, 0.0, crng, nullptr);
+    return new pb::NetworkSampler(data.schema(), net, cs);
+  }();
+  return *sampler;
 }
-BENCHMARK(BM_AncestralSampling)->Arg(1000)->Arg(10000);
-
-// Alias-table sampling through a prebuilt NetworkSampler: the repeated-batch
-// (model-serving) path, with table compilation amortized away.
-void BM_AncestralSamplingAlias(benchmark::State& state) {
-  const pb::Dataset& data = Nltcs();
-  pb::BayesNet net;
-  for (int i = 0; i < data.num_attrs(); ++i) {
-    pb::APPair p;
-    p.attr = i;
-    for (int j = std::max(0, i - 2); j < i; ++j) {
-      p.parents.push_back(pb::GenAttr{j, 0});
-    }
-    net.Add(std::move(p));
-  }
-  pb::Rng crng(3);
-  pb::ConditionalSet cs =
-      pb::NoisyConditionalsBinary(data, net, 2, 0.0, crng, nullptr);
-  pb::NetworkSampler sampler(data.schema(), net, cs);
-  pb::Rng rng(4);
-  const int rows = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sampler.Sample(rows, rng));
-  }
-  state.SetItemsProcessed(state.iterations() * rows);
-}
-BENCHMARK(BM_AncestralSamplingAlias)->Arg(1000)->Arg(10000);
 
 // The columnar engine under forced dispatch — scalar vs the detected SIMD
 // level on one thread — isolating what the vector kernels themselves buy
 // over the (already columnar) scalar reference.
 void BM_SampleColumnar(benchmark::State& state, pb::SimdLevel level) {
-  const pb::Dataset& data = Nltcs();
-  pb::BayesNet net;
-  for (int i = 0; i < data.num_attrs(); ++i) {
-    pb::APPair p;
-    p.attr = i;
-    for (int j = std::max(0, i - 2); j < i; ++j) {
-      p.parents.push_back(pb::GenAttr{j, 0});
-    }
-    net.Add(std::move(p));
-  }
-  pb::Rng crng(3);
-  pb::ConditionalSet cs =
-      pb::NoisyConditionalsBinary(data, net, 2, 0.0, crng, nullptr);
-  pb::NetworkSampler sampler(data.schema(), net, cs);
-  pb::SetSimdForTesting(level, /*packed_gather=*/false);
+  const pb::NetworkSampler& sampler = NltcsChainSampler();
+  pb::SetSimdForTesting(level);
   const int rows = static_cast<int>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(

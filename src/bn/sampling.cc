@@ -250,9 +250,8 @@ double NetworkSampler::LogLikelihood(const Dataset& data,
               "network/schema mismatch");
   const int64_t n = data.num_rows();
   const int d = data.num_attrs();
-  // Pin raw columns through the store: resident datasets alias them for
-  // free, out-of-core datasets decode into the generalized-column cache for
-  // the duration of this pass.
+  // Pin Value columns through the store: they decode from the packed words
+  // into the generalized-column cache for the duration of this pass.
   std::shared_ptr<const ColumnStore> store = data.store();
   std::vector<ColumnStore::PinnedColumn> pins(d);
   std::vector<const Value*> cols(d);

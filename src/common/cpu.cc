@@ -76,10 +76,7 @@ bool IsOffValue(const char* value) {
 SimdConfig ConfigFromEnv() {
   SimdConfig config;
   SimdLevel detected = DetectedSimdLevel();
-  const char* env = std::getenv("PRIVBAYES_SIMD");
-  config.level = SimdLevelFromString(env, detected);
-  config.packed_gather = env && IsOffValue(env) ? PackedGatherMode::kOff
-                                                : PackedGatherMode::kAuto;
+  config.level = SimdLevelFromString(std::getenv("PRIVBAYES_SIMD"), detected);
   return config;
 }
 
@@ -121,11 +118,9 @@ SimdLevel SimdLevelFromString(const char* value, SimdLevel detected) {
 
 const SimdConfig& ActiveSimd() { return MutableActive(); }
 
-void SetSimdForTesting(SimdLevel level, bool packed_gather) {
+void SetSimdForTesting(SimdLevel level) {
   SimdLevel detected = DetectedSimdLevel();
-  MutableActive() = SimdConfig{level < detected ? level : detected,
-                               packed_gather ? PackedGatherMode::kForced
-                                             : PackedGatherMode::kOff};
+  MutableActive() = SimdConfig{level < detected ? level : detected};
 }
 
 void ResetSimdForTesting() { MutableActive() = ConfigFromEnv(); }

@@ -9,10 +9,7 @@
 //                      what PRIVBAYES_SIMD allows)
 //
 // PRIVBAYES_SIMD is the testing/escape-hatch override:
-//   off | scalar | 0  -> scalar kernels only, and the minimal-bit-width
-//                        packed-gather radix path is disabled too, so
-//                        counting runs the seed-equivalent scalar code end
-//                        to end;
+//   off | scalar | 0  -> scalar kernels only;
 //   avx2               -> cap at AVX2 even on AVX-512 hardware;
 //   avx512 | auto | "" -> everything the CPU supports.
 //
@@ -46,29 +43,19 @@ bool CpuHasAvx512Vpopcntdq();
 /// nullptr / "" / "auto" / unrecognized values return `detected`.
 SimdLevel SimdLevelFromString(const char* value, SimdLevel detected);
 
-/// Policy for the minimal-bit-width packed-gather path of the radix kernel.
-/// Plain scalar code, but governed here because PRIVBAYES_SIMD=off must
-/// force the seed-equivalent kernels end to end. kAuto engages the gather
-/// only when the raw uint16 working set is too big for on-chip caches —
-/// below that the per-value shift/mask arithmetic costs more than the 2–4×
-/// bandwidth it saves (measured: raw radix wins 2× at Adult scale in L2/L3).
-enum class PackedGatherMode { kOff, kAuto, kForced };
-
-/// The dispatch decision every counting call consults.
+/// The dispatch decision every counting and sampling call consults.
 struct SimdConfig {
   SimdLevel level = SimdLevel::kScalar;
-  PackedGatherMode packed_gather = PackedGatherMode::kAuto;
 };
 
 /// Active configuration: detected level clamped by PRIVBAYES_SIMD (read once
 /// on first call; thread-safe).
 const SimdConfig& ActiveSimd();
 
-/// Test hooks: force a configuration (level is clamped to DetectedSimdLevel,
-/// so forcing "avx512" on a scalar-only host is a no-op; packed_gather=true
-/// forces the gather path regardless of working-set size) / restore the
+/// Test hooks: force a level (clamped to DetectedSimdLevel, so forcing
+/// "avx512" on a scalar-only host is a no-op) / restore the
 /// environment-derived default.
-void SetSimdForTesting(SimdLevel level, bool packed_gather);
+void SetSimdForTesting(SimdLevel level);
 void ResetSimdForTesting();
 
 }  // namespace privbayes

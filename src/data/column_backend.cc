@@ -18,72 +18,152 @@ namespace privbayes {
 
 namespace {
 
-// Packs `col` at the minimal power-of-two bit width for `card`. Width 16
-// would be a byte-for-byte copy of the Value column — no bandwidth saved,
-// memory doubled — so the heap backend records the width but keeps no words
-// and the radix kernel reads such columns raw.
-void PackColumn(const Value* col, size_t n, int card,
-                std::vector<uint64_t>& words, uint32_t& log2_bits) {
-  log2_bits = PackedLog2Bits(card);
-  if (log2_bits >= 4) return;
-  const uint32_t log2_rpw = 6 - log2_bits;
-  const size_t rpw = size_t{1} << log2_rpw;
-  words.assign((n + rpw - 1) >> log2_rpw, 0);
-  for (size_t r = 0; r < n; ++r) {
-    words[r >> log2_rpw] |= static_cast<uint64_t>(col[r])
-                            << ((r & (rpw - 1)) << log2_bits);
+// Calls op(i, v) for the `count` values stored from `bytes` on, at
+// 2^kLog2Bits bits each. One loop per width, so every shift and mask is a
+// constant; sub-byte widths read a byte at a time (row j of a byte sits at
+// bit j·bits in the little-endian word stream), which the compiler turns
+// into vector nibble/crumb splits.
+template <uint32_t kLog2Bits, typename Op>
+inline void ForEachPacked(const uint8_t* bytes, size_t count, Op&& op) {
+  constexpr uint32_t kBits = 1u << kLog2Bits;
+  if constexpr (kBits == 16) {
+    for (size_t i = 0; i < count; ++i) {
+      op(i, uint32_t{bytes[2 * i]} | uint32_t{bytes[2 * i + 1]} << 8);
+    }
+  } else {
+    constexpr size_t kPerByte = 8 / kBits;
+    constexpr uint32_t kMask = (1u << kBits) - 1;
+    const size_t full = count / kPerByte;
+    for (size_t b = 0; b < full; ++b) {
+      const uint32_t byte = bytes[b];
+      for (size_t j = 0; j < kPerByte; ++j) {
+        op(b * kPerByte + j, (byte >> (j * kBits)) & kMask);
+      }
+    }
+    for (size_t i = full * kPerByte; i < count; ++i) {
+      op(i, (uint32_t{bytes[i / kPerByte]} >> ((i % kPerByte) * kBits)) &
+                kMask);
+    }
   }
+}
+
+// Byte address of row `row` (a multiple of 64, so word- and byte-aligned).
+inline const uint8_t* RowBytes(const uint64_t* words, size_t row,
+                               uint32_t log2_bits) {
+  return reinterpret_cast<const uint8_t*>(words + (row >> (6 - log2_bits)));
+}
+
+template <uint32_t kLog2Bits, bool kLeading>
+void Fold(const uint64_t* words, size_t first_row, size_t rows, uint32_t card,
+          uint32_t* idx) {
+  ForEachPacked<kLog2Bits>(RowBytes(words, first_row, kLog2Bits), rows,
+                           [&](size_t i, uint32_t v) {
+                             idx[i] = kLeading ? v : idx[i] * card + v;
+                           });
+}
+
+template <uint32_t kLog2Bits>
+void Unpack(const uint64_t* words, size_t first_row, size_t rows, Value* out) {
+  ForEachPacked<kLog2Bits>(
+      RowBytes(words, first_row, kLog2Bits), rows,
+      [&](size_t i, uint32_t v) { out[i] = static_cast<Value>(v); });
+}
+
+// Packs `n` rows — col[r], or leaf_map[col[r]] for a generalized level —
+// at 2^kLog2Bits bits each. Every word is written whole, so bits past row
+// n-1 are zero.
+template <uint32_t kLog2Bits>
+void Pack(const Value* col, const Value* leaf_map, size_t n, uint64_t* words) {
+  constexpr uint32_t kBits = 1u << kLog2Bits;
+  constexpr size_t kPerWord = 64 / kBits;
+  for (size_t w = 0; w * kPerWord < n; ++w) {
+    const size_t end = std::min(n - w * kPerWord, kPerWord);
+    const Value* src = col + w * kPerWord;
+    uint64_t word = 0;
+    for (size_t j = 0; j < end; ++j) {
+      const uint64_t v = leaf_map == nullptr ? src[j] : leaf_map[src[j]];
+      word |= v << (j * kBits);
+    }
+    words[w] = word;
+  }
+}
+
+void PackSlice(const Value* col, const Value* leaf_map, size_t n,
+               uint32_t log2_bits, uint64_t* words) {
+  switch (log2_bits) {
+    case 0: return Pack<0>(col, leaf_map, n, words);
+    case 1: return Pack<1>(col, leaf_map, n, words);
+    case 2: return Pack<2>(col, leaf_map, n, words);
+    case 3: return Pack<3>(col, leaf_map, n, words);
+    default: return Pack<4>(col, leaf_map, n, words);
+  }
+}
+
+// Rows decoded per step of the open-time domain scan.
+constexpr int64_t kScanRows = 4096;
+
+// Rejects a mapped slice holding a value >= its cardinality. Every kernel
+// indexes histograms and conditional tables by decoded values without a
+// range check, so this scan is the only guard against an out-of-domain
+// payload; widths whose every value is in domain (cardinality == 2^bits)
+// need none.
+void CheckSliceDomain(const ColumnBackend& backend, int attr, int level) {
+  const int card = backend.schema().CardinalityAt(attr, level);
+  const PackedSlice s = backend.Packed(attr, level);
+  if (card >= (1 << (1 << s.log2_bits))) return;
+  Value buf[kScanRows] = {};
+  for (int64_t begin = 0; begin < backend.num_rows(); begin += kScanRows) {
+    const int64_t end = std::min(backend.num_rows(), begin + kScanRows);
+    UnpackValues(s, begin, end, buf);
+    // A plain reduction loop vectorizes; std::max_element does not.
+    Value max_value = 0;
+    for (int64_t i = 0; i < end - begin; ++i) {
+      max_value = std::max(max_value, buf[i]);
+    }
+    if (static_cast<int>(max_value) >= card) {
+      throw std::runtime_error(
+          "packed file: value " + std::to_string(max_value) +
+          " out of domain (cardinality " + std::to_string(card) +
+          ") for attribute '" + backend.schema().attr(attr).name +
+          "' level " + std::to_string(level));
+    }
+  }
+  backend.ReleaseResidency(attr, level);
 }
 
 }  // namespace
 
 // ------------------------------------------------------------------- heap
 
-HeapColumnBackend::HeapColumnBackend(
-    const Schema& schema, const std::vector<std::vector<Value>>& columns,
-    int64_t num_rows)
-    : num_rows_(num_rows) {
+ColumnBackend::ColumnBackend(const Schema& schema,
+                             const std::vector<std::vector<Value>>& columns,
+                             int64_t num_rows) {
   const int d = schema.num_attrs();
   PB_CHECK(static_cast<int>(columns.size()) == d);
-  raw_.resize(d);
-  bitpacked_.resize(d);
-  gen_.resize(d);
-  const size_t n = static_cast<size_t>(num_rows);
+  header_.schema = schema;
+  header_.num_rows = num_rows;
+  // Slice offsets are multiples of 64 bytes, so every slice starts on a
+  // whole word of owned_.
+  owned_.resize(LayoutPackedSlices(schema, num_rows, 0, header_.slices) /
+                sizeof(uint64_t));
+  base_ = reinterpret_cast<const uint8_t*>(owned_.data());
 
+  const size_t n = static_cast<size_t>(num_rows);
   for (int a = 0; a < d; ++a) {
     PB_CHECK(columns[a].size() == n);
-    raw_[a] = columns[a];
-    resident_bytes_ += n * sizeof(Value);
     const TaxonomyTree& tax = schema.attr(a).taxonomy;
-    const int levels = tax.num_levels();
-    gen_[a].resize(levels);
-    bitpacked_[a].resize(levels);
-    PackColumn(raw_[a].data(), n, tax.CardinalityAt(0), bitpacked_[a][0].words,
-               bitpacked_[a][0].log2_bits);
-    resident_bytes_ += bitpacked_[a][0].words.size() * sizeof(uint64_t);
-    for (int l = 1; l < levels; ++l) {
-      const std::vector<Value>& leaf_map = tax.LeafMapAt(l);
-      gen_[a][l].resize(n);
-      const Value* col = raw_[a].data();
-      Value* out = gen_[a][l].data();
-      for (size_t r = 0; r < n; ++r) out[r] = leaf_map[col[r]];
-      PackColumn(out, n, tax.CardinalityAt(l), bitpacked_[a][l].words,
-                 bitpacked_[a][l].log2_bits);
-      resident_bytes_ += n * sizeof(Value) +
-                         bitpacked_[a][l].words.size() * sizeof(uint64_t);
+    for (int l = 0; l < tax.num_levels(); ++l) {
+      const PackedSliceInfo& s = header_.slices[a][l];
+      PackSlice(columns[a].data(), l == 0 ? nullptr : tax.LeafMapAt(l).data(),
+                n, s.log2_bits,
+                owned_.data() + s.byte_offset / sizeof(uint64_t));
     }
   }
 }
 
-PackedSlice HeapColumnBackend::Packed(int attr, int level) const {
-  const BitCol& bc = bitpacked_[attr][level];
-  return PackedSlice{bc.words.empty() ? nullptr : bc.words.data(),
-                     bc.words.size(), bc.log2_bits};
-}
-
 // ------------------------------------------------------------------- mmap
 
-std::shared_ptr<MmapColumnBackend> MmapColumnBackend::Open(
+std::shared_ptr<const ColumnBackend> ColumnBackend::Open(
     const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
@@ -105,12 +185,11 @@ std::shared_ptr<MmapColumnBackend> MmapColumnBackend::Open(
                              "': " + std::strerror(errno));
   }
 
-  auto backend = std::shared_ptr<MmapColumnBackend>(new MmapColumnBackend());
-  backend->path_ = path;
-  backend->map_ = static_cast<const uint8_t*>(map);
-  backend->map_size_ = size;
+  auto backend = std::shared_ptr<ColumnBackend>(new ColumnBackend());
+  backend->base_ = static_cast<const uint8_t*>(map);
+  backend->map_size_ = std::max<size_t>(size, 1);
   // On any validation throw, `backend`'s destructor unmaps.
-  backend->header_ = ParsePackedHeader(backend->map_, size);
+  backend->header_ = ParsePackedHeader(backend->base_, size);
   if (backend->header_.file_bytes > size) {
     throw std::runtime_error(
         "packed file: truncated payload (header promises " +
@@ -126,10 +205,17 @@ std::shared_ptr<MmapColumnBackend> MmapColumnBackend::Open(
   // pages fault in per scan and ReleaseResidency drops them afterwards.
   ::madvise(map, size, MADV_SEQUENTIAL);
   InterleaveMemory(map, size);
+  for (int a = 0; a < backend->num_attrs(); ++a) {
+    for (int l = 0; l < backend->schema().attr(a).taxonomy.num_levels();
+         ++l) {
+      CheckSliceDomain(*backend, a, l);
+    }
+  }
   return backend;
 }
 
-void MmapColumnBackend::ReleaseResidency(int attr, int level) const {
+void ColumnBackend::ReleaseResidency(int attr, int level) const {
+  if (map_size_ == 0) return;
   const PackedSliceInfo& s = header_.slices[attr][level];
   // Round inward to whole pages so a neighbouring slice mid-scan keeps its
   // boundary page. MADV_DONTNEED on a read-only shared file mapping only
@@ -140,36 +226,38 @@ void MmapColumnBackend::ReleaseResidency(int attr, int level) const {
   const uint64_t lo = (s.byte_offset + mask) & ~mask;
   const uint64_t hi = (s.byte_offset + s.word_count * 8) & ~mask;
   if (hi > lo) {
-    ::madvise(const_cast<uint8_t*>(map_ + lo), hi - lo, MADV_DONTNEED);
+    ::madvise(const_cast<uint8_t*>(base_ + lo), hi - lo, MADV_DONTNEED);
   }
 }
 
-MmapColumnBackend::~MmapColumnBackend() {
-  if (map_ != nullptr) {
-    ::munmap(const_cast<uint8_t*>(map_), std::max<size_t>(map_size_, 1));
+ColumnBackend::~ColumnBackend() {
+  if (map_size_ != 0) ::munmap(const_cast<uint8_t*>(base_), map_size_);
+}
+
+// ------------------------------------------------------------------ codec
+
+void UnpackValues(const PackedSlice& slice, int64_t begin, int64_t end,
+                  Value* out) {
+  PB_CHECK(begin % 64 == 0 && begin <= end);
+  const size_t first = static_cast<size_t>(begin);
+  const size_t rows = static_cast<size_t>(end - begin);
+  switch (slice.log2_bits) {
+    case 0: return Unpack<0>(slice.words, first, rows, out);
+    case 1: return Unpack<1>(slice.words, first, rows, out);
+    case 2: return Unpack<2>(slice.words, first, rows, out);
+    case 3: return Unpack<3>(slice.words, first, rows, out);
+    default: return Unpack<4>(slice.words, first, rows, out);
   }
 }
 
-PackedSlice MmapColumnBackend::Packed(int attr, int level) const {
-  const PackedSliceInfo& s = header_.slices[attr][level];
-  return PackedSlice{
-      reinterpret_cast<const uint64_t*>(map_ + s.byte_offset), s.word_count,
-      s.log2_bits};
-}
-
-// ------------------------------------------------------------------ shared
-
-void UnpackValues(const uint64_t* words, uint32_t log2_bits, int64_t begin,
-                  int64_t end, Value* out) {
-  const uint32_t log2_rpw = 6 - log2_bits;
-  const uint64_t row_mask = (uint64_t{1} << log2_rpw) - 1;
-  const uint64_t value_mask =
-      log2_bits == 4 ? 0xffffu : (uint64_t{1} << (uint32_t{1} << log2_bits)) - 1;
-  for (int64_t r = begin; r < end; ++r) {
-    const uint64_t u = static_cast<uint64_t>(r);
-    out[r - begin] = static_cast<Value>(
-        (words[u >> log2_rpw] >> ((u & row_mask) << log2_bits)) & value_mask);
-  }
+PackedFoldFn SelectPackedFold(uint32_t log2_bits, bool leading) {
+  static constexpr PackedFoldFn kFolds[2][5] = {
+      {Fold<0, false>, Fold<1, false>, Fold<2, false>, Fold<3, false>,
+       Fold<4, false>},
+      {Fold<0, true>, Fold<1, true>, Fold<2, true>, Fold<3, true>,
+       Fold<4, true>}};
+  PB_CHECK(log2_bits <= 4);
+  return kFolds[leading ? 1 : 0][log2_bits];
 }
 
 }  // namespace privbayes

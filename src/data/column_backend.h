@@ -1,28 +1,30 @@
-// Storage backends under the ColumnStore's bit-packed column layout.
+// The packed words under a ColumnStore, and the codec that reads them.
 //
 // The ColumnStore (data/column_store.h) is the layout/API front of the
-// counting engine: snapshot identity, packed-word geometry, kernel dispatch,
-// and the generalized-column cache. Where the packed words and raw columns
-// actually LIVE is this file's concern:
+// counting engine: snapshot identity, kernel dispatch, and the
+// generalized-column cache. The bytes it counts live here, in exactly one
+// representation: every (attribute, taxonomy level) slice bit-packed at the
+// minimal power-of-two width its cardinality needs (1/2/4/8/16 bits), in
+// word regions at 64-byte offsets with zeroed tail bits — the PBPACKED
+// slice geometry of data/packed_file.h. Only the allocation source differs:
 //
-//   * HeapColumnBackend — the classic in-memory store: raw Value columns and
-//     eagerly materialized generalized columns, each also packed at its
-//     minimal power-of-two bit width. Built from in-memory datasets.
-//   * MmapColumnBackend — a read-only memory mapping of a packed file
-//     (data/packed_file.h). Every (attribute, level) slice's words are
-//     served straight from the page cache; raw Value columns are NOT
-//     resident (out_of_core() == true), so a 100M-row dataset counts and
+//   * heap — built from in-memory columns: every slice is packed once into
+//     owned words. No raw or generalized Value column is kept, so a
+//     snapshot is about a quarter of the raw size per level;
+//   * mapped — a read-only memory mapping of a packed file. The words are
+//     served straight from the page cache, so a 100M-row dataset counts and
 //     fits at a fraction of its raw size in RSS. The file's generation
 //     becomes the snapshot id, so MarginalStore entries keyed on it carry
 //     over across processes mapping the same file.
 //
-// Both backends expose the same packed-word geometry, and every counting
-// kernel consumes only that geometry — which is why the two are bit-identical
-// for counting, the property tests/packed_store_test.cc locks in.
+// Every consumer reads the same geometry through the same decoder, which is
+// why the two sources are bit-identical for counting, pinning, sampling and
+// fitting — the property tests/packed_store_test.cc locks in.
 
 #ifndef PRIVBAYES_DATA_COLUMN_BACKEND_H_
 #define PRIVBAYES_DATA_COLUMN_BACKEND_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -33,126 +35,84 @@
 
 namespace privbayes {
 
-/// One (attribute, level) column's packed representation: `words` is null
-/// when the backend keeps no packing for it (heap backend, cardinality >
-/// 256 — such columns are read raw instead; a 16-bit "packing" of a resident
-/// uint16 column would save nothing).
+/// One (attribute, level) slice: row r sits at bits [r·b, r·b + b) of the
+/// little-endian word stream, b = 2^log2_bits. Rows past num_rows are zero.
 struct PackedSlice {
   const uint64_t* words = nullptr;
   uint64_t num_words = 0;
   uint32_t log2_bits = 0;  ///< log2 of bits per value: 0..4 (1..16 bits)
 };
 
-/// Where a ColumnStore's columns live. Immutable once constructed; all
+/// Where a ColumnStore's packed words live. Immutable once constructed; all
 /// accessors are safe to call concurrently.
 class ColumnBackend {
  public:
-  virtual ~ColumnBackend() = default;
+  /// Heap source: packs every (attr, level) slice of `columns` (one vector
+  /// per attribute, each `num_rows` long, values in domain) into owned words.
+  ColumnBackend(const Schema& schema,
+                const std::vector<std::vector<Value>>& columns,
+                int64_t num_rows);
 
-  virtual int64_t num_rows() const = 0;
-  virtual int num_attrs() const = 0;
+  /// Mapped source: opens, validates and maps `path`. Throws
+  /// std::runtime_error on open or map failure, bad magic, unsupported
+  /// version, a truncated file (the payload the header promises must fit in
+  /// the file), or a payload value outside its slice's cardinality. The
+  /// mapping is advised for the counting access pattern and, on multi-node
+  /// machines, interleaved across NUMA nodes (common/numa.h; best-effort).
+  static std::shared_ptr<const ColumnBackend> Open(const std::string& path);
 
-  /// Packed words of (attr, level); see PackedSlice for the null contract.
-  virtual PackedSlice Packed(int attr, int level) const = 0;
+  ~ColumnBackend();
+  ColumnBackend(const ColumnBackend&) = delete;
+  ColumnBackend& operator=(const ColumnBackend&) = delete;
 
-  /// Raw Value column of (attr, level), or nullptr when the backend does not
-  /// keep raw columns resident (mmap). Level 0 is the ungeneralized column.
-  virtual const Value* Raw(int attr, int level) const = 0;
+  const Schema& schema() const { return header_.schema; }
+  int64_t num_rows() const { return header_.num_rows; }
+  int num_attrs() const { return header_.schema.num_attrs(); }
+  /// File generation for mapped stores (nonzero), 0 for heap stores.
+  uint64_t generation() const { return header_.generation; }
+  /// Packed-file format version (mapped stores; 0 for heap stores).
+  uint32_t version() const { return header_.version; }
+  /// Bytes of the mapping (0 for heap stores).
+  size_t mapped_bytes() const { return map_size_; }
+  /// Bytes of owned words (0 for mapped stores: mapped pages count as
+  /// resident only as the kernel pages them in).
+  size_t resident_bytes() const { return owned_.size() * sizeof(uint64_t); }
 
-  /// True when raw columns are not resident and consumers must read through
-  /// Packed() (or materialize on demand via the ColumnStore's
-  /// generalized-column cache).
-  virtual bool out_of_core() const = 0;
-
-  /// File generation for file-backed stores (nonzero), 0 for heap stores.
-  virtual uint64_t generation() const { return 0; }
+  PackedSlice Packed(int attr, int level) const {
+    const PackedSliceInfo& s = header_.slices[attr][level];
+    return PackedSlice{reinterpret_cast<const uint64_t*>(base_ + s.byte_offset),
+                       s.word_count, s.log2_bits};
+  }
 
   /// Hints that the caller is done scanning (attr, level) for now and its
-  /// pages may leave this process's resident set. No-op for heap stores; the
-  /// mmap store drops the slice's page range back to the page cache
+  /// pages may leave this process's resident set. No-op for heap stores; a
+  /// mapped store drops the slice's page range back to the page cache
   /// (refaults are minor faults), which is what keeps peak RSS bounded by
   /// the working set of one counting pass instead of every slice ever
   /// touched. Purely a paging hint — never affects values.
-  virtual void ReleaseResidency(int attr, int level) const {
-    (void)attr;
-    (void)level;
-  }
-
-  /// Approximate bytes this backend keeps resident (mapped file bytes count
-  /// as resident only as the kernel pages them in; reported as 0 here).
-  virtual size_t resident_bytes() const = 0;
-};
-
-/// The in-memory backend: copies the columns, materializes every taxonomy
-/// level eagerly, and packs each at its minimal bit width.
-class HeapColumnBackend final : public ColumnBackend {
- public:
-  HeapColumnBackend(const Schema& schema,
-                    const std::vector<std::vector<Value>>& columns,
-                    int64_t num_rows);
-
-  int64_t num_rows() const override { return num_rows_; }
-  int num_attrs() const override { return static_cast<int>(raw_.size()); }
-  PackedSlice Packed(int attr, int level) const override;
-  const Value* Raw(int attr, int level) const override {
-    return level == 0 ? raw_[attr].data() : gen_[attr][level].data();
-  }
-  bool out_of_core() const override { return false; }
-  size_t resident_bytes() const override { return resident_bytes_; }
+  void ReleaseResidency(int attr, int level) const;
 
  private:
-  struct BitCol {
-    std::vector<uint64_t> words;
-    uint32_t log2_bits = 0;
-  };
+  ColumnBackend() = default;
 
-  int64_t num_rows_ = 0;
-  size_t resident_bytes_ = 0;
-  std::vector<std::vector<Value>> raw_;  // per attr, copied
-  // bitpacked_[attr][level]; gen_[attr][level] for level >= 1.
-  std::vector<std::vector<BitCol>> bitpacked_;
-  std::vector<std::vector<std::vector<Value>>> gen_;
-};
-
-/// The out-of-core backend: a read-only mapping of a packed file.
-class MmapColumnBackend final : public ColumnBackend {
- public:
-  /// Opens, validates and maps `path`. Throws std::runtime_error on open or
-  /// map failure, bad magic, unsupported version, or a truncated file (the
-  /// payload the header promises must fit in the file). The mapping is
-  /// advised for the counting access pattern and, on multi-node machines,
-  /// interleaved across NUMA nodes (common/numa.h; best-effort).
-  static std::shared_ptr<MmapColumnBackend> Open(const std::string& path);
-
-  ~MmapColumnBackend() override;
-
-  const Schema& schema() const { return header_.schema; }
-  const std::string& path() const { return path_; }
-  uint64_t generation() const override { return header_.generation; }
-  uint32_t version() const { return header_.version; }
-  size_t mapped_bytes() const { return map_size_; }
-
-  int64_t num_rows() const override { return header_.num_rows; }
-  int num_attrs() const override { return header_.schema.num_attrs(); }
-  PackedSlice Packed(int attr, int level) const override;
-  const Value* Raw(int, int) const override { return nullptr; }
-  bool out_of_core() const override { return true; }
-  size_t resident_bytes() const override { return 0; }
-  void ReleaseResidency(int attr, int level) const override;
-
- private:
-  MmapColumnBackend() = default;
-
-  std::string path_;
-  PackedFileHeader header_;
-  const uint8_t* map_ = nullptr;
-  size_t map_size_ = 0;
+  PackedFileHeader header_;  // heap: byte offsets are into owned_
+  const uint8_t* base_ = nullptr;
+  size_t map_size_ = 0;  // nonzero iff base_ is a mapping
+  std::vector<uint64_t> owned_;
 };
 
 /// Decodes rows [begin, end) of a packed slice into `out` (one Value per
-/// row). Shared by the generalized-column cache and the equivalence tests.
-void UnpackValues(const uint64_t* words, uint32_t log2_bits, int64_t begin,
-                  int64_t end, Value* out);
+/// row); `begin` must be a multiple of 64. The generalized-column cache's
+/// decoder.
+void UnpackValues(const PackedSlice& slice, int64_t begin, int64_t end,
+                  Value* out);
+
+/// One column step of the radix kernel over rows [first_row, first_row +
+/// rows) of a slice, `first_row` a multiple of 64: idx[i] = idx[i] · card +
+/// value(first_row + i), or just the value for the leading column.
+using PackedFoldFn = void (*)(const uint64_t* words, size_t first_row,
+                              size_t rows, uint32_t card, uint32_t* idx);
+PackedFoldFn SelectPackedFold(uint32_t log2_bits, bool leading);
 
 }  // namespace privbayes
 

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <list>
 #include <map>
 #include <mutex>
 #include <utility>
 
 #include "common/check.h"
-#include "common/cpu.h"
 #include "common/env.h"
 #include "common/parallel.h"
 #include "data/count_kernels.h"
@@ -74,48 +72,30 @@ void ShardedAccumulate(size_t units, bool want_parallel,
   }
 }
 
-// One column of the raw radix kernel: cached (generalized) values plus the
-// cardinality that scales the running index.
-struct ColRef {
-  const Value* col;
-  size_t card;
-};
+// Rows per radix block: the u32 cell-index block (2 KB) stays in L1 while
+// every column folds into it. A multiple of 64, so with 64-row shard units
+// every block starts word-aligned.
+constexpr size_t kRadixBlockRows = 512;
 
-void RadixAccumulate(const ColRef* cols, int k, size_t begin, size_t end,
-                     int64_t* counts) {
-  for (size_t r = begin; r < end; ++r) {
-    size_t idx = cols[0].col[r];
-    for (int j = 1; j < k; ++j) idx = idx * cols[j].card + cols[j].col[r];
-    ++counts[idx];
-  }
-}
-
-// One column of the packed-gather radix kernel: minimal-bit-width words and
-// the shift/mask geometry to extract row r branch-free. A 4-bit Adult
-// column streams a quarter of the bytes the uint16 column would.
-struct PackedColRef {
+// One column of the radix kernel: its words, the width-specialized fold
+// step, and the cardinality that scales the running index.
+struct FoldCol {
   const uint64_t* words;
-  uint32_t log2_bits;   // log2 of bits per value
-  uint32_t log2_rpw;    // log2 of rows per word (6 - log2_bits)
-  uint32_t row_mask;    // rows-per-word - 1
-  uint64_t value_mask;  // (1 << bits) - 1
-  size_t card;
+  PackedFoldFn fold;
+  uint32_t card;
 };
 
-inline uint64_t Gather(const PackedColRef& c, size_t r) {
-  return (c.words[r >> c.log2_rpw] >>
-          ((r & c.row_mask) << c.log2_bits)) &
-         c.value_mask;
-}
-
-void RadixAccumulatePacked(const PackedColRef* cols, int k, size_t begin,
-                           size_t end, int64_t* counts) {
-  for (size_t r = begin; r < end; ++r) {
-    size_t idx = Gather(cols[0], r);
-    for (int j = 1; j < k; ++j) {
-      idx = idx * cols[j].card + Gather(cols[j], r);
+// Counts rows [begin, end), `begin` a multiple of 64: per block, fold every
+// column into the cell index, then one histogram pass.
+void RadixCountRange(const FoldCol* cols, int k, size_t begin, size_t end,
+                     int64_t* counts) {
+  alignas(64) uint32_t idx[kRadixBlockRows] = {};
+  for (size_t b = begin; b < end; b += kRadixBlockRows) {
+    const size_t rows = std::min(kRadixBlockRows, end - b);
+    for (int j = 0; j < k; ++j) {
+      cols[j].fold(cols[j].words, b, rows, cols[j].card, idx);
     }
-    ++counts[idx];
+    for (size_t i = 0; i < rows; ++i) ++counts[idx[i]];
   }
 }
 
@@ -129,7 +109,7 @@ constexpr uint64_t kFileSnapshotBit = uint64_t{1} << 63;
 
 }  // namespace
 
-// On-demand Value-column decode cache for out-of-core backends. Entries are
+// On-demand Value-column decode cache behind PinColumn. Entries are
 // shared_ptr vectors handed out through PinColumn's aliasing handle, so an
 // entry evicted while pinned stays alive until its last pin drops — the
 // budget bounds what the CACHE retains, pins are the caller's to account.
@@ -155,17 +135,16 @@ ColumnStore::~ColumnStore() = default;
 ColumnStore::ColumnStore(const Schema& schema,
                          const std::vector<std::vector<Value>>& columns,
                          int64_t num_rows)
-    : ColumnStore(schema, std::make_shared<const HeapColumnBackend>(
-                              schema, columns, num_rows)) {}
+    : ColumnStore(std::make_shared<const ColumnBackend>(schema, columns,
+                                                        num_rows)) {}
 
-ColumnStore::ColumnStore(const Schema& schema,
-                         std::shared_ptr<const ColumnBackend> backend)
+ColumnStore::ColumnStore(std::shared_ptr<const ColumnBackend> backend)
     : num_rows_(backend->num_rows()), backend_(std::move(backend)) {
+  const Schema& schema = backend_->schema();
   const uint64_t generation = backend_->generation();
   snapshot_id_ = generation != 0 ? (kFileSnapshotBit | generation)
                                  : NextHeapSnapshotId();
   const int d = schema.num_attrs();
-  PB_CHECK(backend_->num_attrs() == d);
   binary_.assign(d, 0);
   cards_.resize(d);
   for (int a = 0; a < d; ++a) {
@@ -175,26 +154,12 @@ ColumnStore::ColumnStore(const Schema& schema,
     cards_[a].resize(levels);
     for (int l = 0; l < levels; ++l) cards_[a][l] = tax.CardinalityAt(l);
   }
-  if (backend_->out_of_core()) {
-    const int64_t budget = EnvInt("PRIVBAYES_GENCOL_BUDGET", 256 << 20);
-    gen_cache_ = std::make_unique<GenCache>(
-        budget > 0 ? static_cast<size_t>(budget) : 0);
-  }
-}
-
-const Value* ColumnStore::generalized(int attr, int level) const {
-  const Value* raw = backend_->Raw(attr, level);
-  PB_CHECK_MSG(raw != nullptr,
-               "raw column access on an out-of-core store; use PinColumn");
-  return raw;
+  const int64_t budget = EnvInt("PRIVBAYES_GENCOL_BUDGET", 256 << 20);
+  gen_cache_ = std::make_unique<GenCache>(
+      budget > 0 ? static_cast<size_t>(budget) : 0);
 }
 
 ColumnStore::PinnedColumn ColumnStore::PinColumn(int attr, int level) const {
-  if (const Value* raw = backend_->Raw(attr, level)) {
-    // Resident: alias the backend so the pin keeps the store's bytes alive.
-    return PinnedColumn(backend_, raw);
-  }
-  PB_CHECK(gen_cache_ != nullptr);
   GenCache& cache = *gen_cache_;
   const std::pair<int, int> key{attr, level};
   std::unique_lock<std::mutex> lock(cache.mu);
@@ -206,9 +171,7 @@ ColumnStore::PinnedColumn ColumnStore::PinColumn(int attr, int level) const {
     lock.unlock();
     auto col = std::make_shared<std::vector<Value>>(
         static_cast<size_t>(num_rows_));
-    const PackedSlice s = backend_->Packed(attr, level);
-    PB_CHECK(s.words != nullptr);
-    UnpackValues(s.words, s.log2_bits, 0, num_rows_, col->data());
+    UnpackValues(backend_->Packed(attr, level), 0, num_rows_, col->data());
     backend_->ReleaseResidency(attr, level);  // decoded copy supersedes pages
     lock.lock();
     it = cache.entries.find(key);
@@ -242,19 +205,16 @@ ColumnStore::PinnedColumn ColumnStore::PinColumn(int attr, int level) const {
 }
 
 size_t ColumnStore::gen_cache_bytes() const {
-  if (gen_cache_ == nullptr) return 0;
   std::lock_guard<std::mutex> lock(gen_cache_->mu);
   return gen_cache_->bytes;
 }
 
 uint64_t ColumnStore::gen_cache_materializations() const {
-  if (gen_cache_ == nullptr) return 0;
   std::lock_guard<std::mutex> lock(gen_cache_->mu);
   return gen_cache_->materializations;
 }
 
 uint64_t ColumnStore::gen_cache_evictions() const {
-  if (gen_cache_ == nullptr) return 0;
   std::lock_guard<std::mutex> lock(gen_cache_->mu);
   return gen_cache_->evictions;
 }
@@ -277,15 +237,11 @@ void ColumnStore::AccumulateCounts(std::span<const GenAttr> gattrs,
   } else {
     CountRadix(gattrs, cells);
   }
-  // Out-of-core: the pass is over, let the scanned slices leave the resident
-  // set. This bounds peak RSS by one pass's working set; without it an
-  // unpressured kernel keeps every slice ever counted resident and a long
+  // The pass is over: let a mapped store's scanned slices leave the
+  // resident set. This bounds peak RSS by one pass's working set; without it
+  // an unpressured kernel keeps every slice ever counted resident and a long
   // fit converges on the whole file being in RSS.
-  if (backend_->out_of_core()) {
-    for (const GenAttr& g : gattrs) {
-      backend_->ReleaseResidency(g.attr, g.level);
-    }
-  }
+  for (const GenAttr& g : gattrs) backend_->ReleaseResidency(g.attr, g.level);
 }
 
 void ColumnStore::CountPacked(std::span<const GenAttr> gattrs,
@@ -311,71 +267,19 @@ void ColumnStore::CountPacked(std::span<const GenAttr> gattrs,
 void ColumnStore::CountRadix(std::span<const GenAttr> gattrs,
                              std::span<double> cells) const {
   const int k = static_cast<int>(gattrs.size());
-  const size_t n = static_cast<size_t>(num_rows_);
-  const bool out_of_core = backend_->out_of_core();
-
-  // The packed gather reads 2–4× fewer bytes but spends ~4 extra scalar ops
-  // per value on shift/mask extraction, so it only wins once the raw uint16
-  // working set streams from memory instead of cache. 64 MB clears the L3
-  // of common server parts. Heap columns with cardinality > 256 carry no
-  // packed words (a 16-bit packing saves nothing), so their sets always
-  // read raw. Out-of-core stores gather whenever allowed — their raw
-  // columns are not resident, and the mapped words ARE the data.
-  constexpr size_t kGatherMinRawBytes = size_t{64} << 20;
-  const PackedGatherMode mode = ActiveSimd().packed_gather;
-  bool gatherable = true;
-  for (const GenAttr& g : gattrs) {
-    gatherable =
-        gatherable && backend_->Packed(g.attr, g.level).words != nullptr;
-  }
-  const bool use_gather =
-      gatherable &&
-      (mode == PackedGatherMode::kForced ||
-       (out_of_core && mode != PackedGatherMode::kOff) ||
-       (mode == PackedGatherMode::kAuto &&
-        n * static_cast<size_t>(k) * sizeof(Value) >= kGatherMinRawBytes));
-  if (use_gather) {
-    std::vector<PackedColRef> cols(k);
-    for (int j = 0; j < k; ++j) {
-      const PackedSlice s = backend_->Packed(gattrs[j].attr, gattrs[j].level);
-      cols[j].words = s.words;
-      cols[j].log2_bits = s.log2_bits;
-      cols[j].log2_rpw = 6 - s.log2_bits;
-      cols[j].row_mask = (uint32_t{1} << cols[j].log2_rpw) - 1;
-      cols[j].value_mask =
-          s.log2_bits == 4
-              ? 0xffffu
-              : (uint64_t{1} << (uint32_t{1} << s.log2_bits)) - 1;
-      cols[j].card =
-          static_cast<size_t>(cards_[gattrs[j].attr][gattrs[j].level]);
-    }
-    ShardedAccumulate(n, num_rows_ >= kParallelMinRows, cells,
-                      [&](size_t begin, size_t end, int64_t* counts) {
-                        RadixAccumulatePacked(cols.data(), k, begin, end,
-                                              counts);
-                      });
-    return;
-  }
-
-  // Raw radix pass. Out-of-core stores materialize the needed columns
-  // through the generalized-column cache for the duration of the pass
-  // (gather was forced off — the seed-equivalent scalar path).
-  std::vector<PinnedColumn> pins;
-  std::vector<ColRef> cols(k);
-  if (out_of_core) pins.reserve(k);
+  PB_CHECK(cells.size() <= UINT32_MAX);  // the fold's u32 cell index
+  std::vector<FoldCol> cols(k);
   for (int j = 0; j < k; ++j) {
-    const GenAttr& g = gattrs[j];
-    if (out_of_core) {
-      pins.push_back(PinColumn(g.attr, g.level));
-      cols[j].col = pins.back().get();
-    } else {
-      cols[j].col = generalized(g.attr, g.level);
-    }
-    cols[j].card = static_cast<size_t>(cards_[g.attr][g.level]);
+    const PackedSlice s = backend_->Packed(gattrs[j].attr, gattrs[j].level);
+    cols[j].words = s.words;
+    cols[j].fold = SelectPackedFold(s.log2_bits, /*leading=*/j == 0);
+    cols[j].card = static_cast<uint32_t>(cards_[gattrs[j].attr][gattrs[j].level]);
   }
-  ShardedAccumulate(n, num_rows_ >= kParallelMinRows, cells,
-                    [&](size_t begin, size_t end, int64_t* counts) {
-                      RadixAccumulate(cols.data(), k, begin, end, counts);
+  const size_t n = static_cast<size_t>(num_rows_);
+  ShardedAccumulate((n + 63) / 64, num_rows_ >= kParallelMinRows, cells,
+                    [&](size_t unit_begin, size_t unit_end, int64_t* counts) {
+                      RadixCountRange(cols.data(), k, unit_begin * 64,
+                                      std::min(n, unit_end * 64), counts);
                     });
 }
 

@@ -6,48 +6,44 @@
 // network construction scores O(d²·|candidates|) attribute–parent pairs, each
 // needing one such joint, so counting throughput bounds the whole build.
 //
-// A ColumnStore is an immutable snapshot of a dataset's columns materialized
+// A ColumnStore is an immutable snapshot of a dataset's columns packed
 // once and reused by every counting call. It is the LAYOUT/API front of the
-// engine — snapshot identity, packed-word geometry, kernel dispatch, and the
-// generalized-column cache — while the bytes themselves live in a pluggable
-// ColumnBackend (data/column_backend.h): in-memory heap for datasets built
-// in-process, or a read-only mmap of a packed file (data/packed_file.h) for
-// datasets bigger than RAM. Counting consumes only the packed-word geometry,
-// so the two backends are bit-identical — the property the equivalence tests
-// lock in.
+// engine — snapshot identity, kernel dispatch, and the generalized-column
+// cache — while the packed words live in a ColumnBackend
+// (data/column_backend.h): owned heap words for datasets built in-process,
+// or a read-only mmap of a packed file (data/packed_file.h) for datasets
+// bigger than RAM. Both hold exactly the same packed slices, so every path
+// below is one path for both:
 //
 //   * binary attributes are bit-packed into 64-row words, and an all-binary
 //     candidate set is counted by a per-arity kernel selected at runtime
 //     (common/cpu.h): the scalar AND+popcount prefix tree, the AVX2/AVX-512
 //     index-assembly kernels, or the AVX-512 vpopcntdq tree — see
 //     data/count_kernels.h;
-//   * every cached column — raw or taxonomy-generalized — is also packed at
-//     the minimal power-of-two bit width its cardinality needs (1/2/4/8/16
-//     bits; most Adult attributes fit 4). Mixed or generalized candidate
-//     sets are counted by a single-pass radix accumulation, gathering from
-//     the packed words (2–4× fewer bytes) when the raw working set would
-//     stream from memory, and from the raw columns when it is cache-resident
-//     (common/cpu.h's PackedGatherMode governs the policy). Out-of-core
-//     stores always gather — their raw columns are not resident — unless
-//     the gather is forced off, in which case the needed columns are
-//     materialized on demand through the generalized-column cache below;
-//   * per-thread reusable scratch buffers hold the integer histogram — no
-//     allocation on the counting path;
-//   * for large n the row range is sharded across the persistent ThreadPool
-//     with per-shard partial histograms merged in shard order, so counts are
+//   * every (attribute, taxonomy level) column is packed at the minimal
+//     power-of-two bit width its cardinality needs (1/2/4/8/16 bits; most
+//     Adult attributes fit 4), so hierarchical-encoding counts never call
+//     Generalize() per row. Mixed or generalized candidate sets are counted
+//     by one radix kernel: per 512-row block, each column is decoded by a
+//     width-specialized loop and folded into an L1-resident u32 cell index
+//     (idx = idx·card + v), then one histogram pass counts the block;
+//   * per-thread reusable scratch buffers hold the integer histogram and the
+//     index block is a stack array — no allocation on the counting path;
+//   * for large n the rows are sharded across the persistent ThreadPool in
+//     64-row units (so every shard and block starts word-aligned) with
+//     per-shard partial histograms merged in shard order, so counts are
 //     bit-identical across thread counts (and, with NUMA placement active,
 //     across node layouts).
 //
-// Generalized-column cache (out-of-core stores only): consumers that need a
-// raw Value column — the gather-off radix fallback, LogLikelihood — pin one
-// via PinColumn, which decodes it from the mapped packed words on first use
-// and keeps decoded columns under a byte budget (PRIVBAYES_GENCOL_BUDGET,
-// default 256 MB), evicting least-recently-used unpinned columns past it.
-// Heap stores pin for free: the raw column is already resident.
+// Generalized-column cache: consumers that need a Value column —
+// LogLikelihood, the out-of-core bench's materialization — pin one via
+// PinColumn, which decodes it from the packed words on first use and keeps
+// decoded columns under a byte budget (PRIVBAYES_GENCOL_BUDGET, default
+// 256 MB), evicting least-recently-used unpinned columns past it.
 //
 // Every kernel produces exactly the counts of the seed's naive pass (integer
 // accumulation; no floating-point reordering). PRIVBAYES_SIMD=off forces the
-// scalar tree and the unpacked radix pass.
+// scalar popcount tree.
 
 #ifndef PRIVBAYES_DATA_COLUMN_STORE_H_
 #define PRIVBAYES_DATA_COLUMN_STORE_H_
@@ -65,19 +61,17 @@ namespace privbayes {
 class ColumnStore {
  public:
   /// Snapshots `columns` (one vector per attribute, each `num_rows` long)
-  /// into a heap backend: packs every column (and every generalized level,
-  /// materialized eagerly) at its minimal bit width, so reads never
-  /// synchronize.
+  /// into a heap backend: packs every column and every generalized level at
+  /// its minimal bit width, so reads never synchronize.
   ColumnStore(const Schema& schema,
               const std::vector<std::vector<Value>>& columns,
               int64_t num_rows);
 
   /// Wraps an existing backend (the out-of-core entry point — see
-  /// MmapColumnBackend::Open). File-backed backends contribute their
-  /// generation as the snapshot id (high bit set), so the cross-run
-  /// MarginalStore carries over across processes mapping the same file.
-  ColumnStore(const Schema& schema,
-              std::shared_ptr<const ColumnBackend> backend);
+  /// ColumnBackend::Open). File-backed backends contribute their generation
+  /// as the snapshot id (high bit set), so the cross-run MarginalStore
+  /// carries over across processes mapping the same file.
+  explicit ColumnStore(std::shared_ptr<const ColumnBackend> backend);
 
   ~ColumnStore();  // defined where GenCache is complete
 
@@ -91,9 +85,6 @@ class ColumnStore {
   /// the cross-run MarginalStore (data/marginal_store.h) hangs cached
   /// joints on.
   uint64_t snapshot_id() const { return snapshot_id_; }
-
-  /// True when raw columns are not resident (mmap backend); see PinColumn.
-  bool out_of_core() const { return backend_->out_of_core(); }
 
   const ColumnBackend& backend() const { return *backend_; }
 
@@ -114,27 +105,22 @@ class ColumnStore {
     return 1 << backend_->Packed(attr, level).log2_bits;
   }
 
-  /// Pointer to the column of `attr` generalized to `level` (level 0 is the
-  /// raw column). Valid for the lifetime of the store. Heap-backed stores
-  /// only — out-of-core consumers must PinColumn instead.
-  const Value* generalized(int attr, int level) const;
-
-  /// A pinned raw column: the pointee stays valid while the handle lives.
-  /// Heap stores alias the resident column (free); out-of-core stores
-  /// decode it from the packed words into the generalized-column cache.
+  /// A pinned Value column of `attr` generalized to `level` (level 0 is the
+  /// raw column): the pointee stays valid while the handle lives. Decoded
+  /// from the packed words into the generalized-column cache.
   using PinnedColumn = std::shared_ptr<const Value[]>;
   PinnedColumn PinColumn(int attr, int level) const;
 
   /// Accumulates the empirical joint counts over `gattrs` into `cells`
   /// (row-major over the generalized cardinalities, last attribute stride 1;
   /// `cells` must be zero-filled by the caller and exactly the right size).
-  /// Dispatches to the packed kernels for all-binary level-0 sets and to
-  /// the packed-gather radix kernel otherwise (kernel and gather choice per
-  /// common/cpu.h's active configuration).
+  /// Dispatches to the popcount kernels for all-binary level-0 sets (kernel
+  /// per common/cpu.h's active configuration) and to the radix kernel
+  /// otherwise.
   void AccumulateCounts(std::span<const GenAttr> gattrs,
                         std::span<double> cells) const;
 
-  /// Generalized-column cache observability (0 / no-ops on heap stores).
+  /// Generalized-column cache observability.
   size_t gen_cache_bytes() const;
   uint64_t gen_cache_materializations() const;
   uint64_t gen_cache_evictions() const;
@@ -152,8 +138,7 @@ class ColumnStore {
   std::shared_ptr<const ColumnBackend> backend_;
   std::vector<uint8_t> binary_;          // per attr: cardinality == 2
   std::vector<std::vector<int>> cards_;  // cards_[attr][level]
-  // On-demand decode cache for out-of-core backends; null on heap stores.
-  std::unique_ptr<GenCache> gen_cache_;
+  std::unique_ptr<GenCache> gen_cache_;  // PinColumn's decode cache
 };
 
 }  // namespace privbayes

@@ -95,7 +95,7 @@ Dataset Dataset::FromColumns(Schema schema,
 }
 
 Dataset Dataset::FromPackedFile(const std::string& path) {
-  std::shared_ptr<MmapColumnBackend> backend = MmapColumnBackend::Open(path);
+  std::shared_ptr<const ColumnBackend> backend = ColumnBackend::Open(path);
   Dataset out(backend->schema());
   out.num_rows_ = backend->num_rows();
   out.out_of_core_ = true;
@@ -103,8 +103,7 @@ Dataset Dataset::FromPackedFile(const std::string& path) {
   // The store is the dataset: build it eagerly so every copy shares the one
   // mapping, and so store() below never rebuilds (there are no resident
   // columns to rebuild from).
-  out.store_ =
-      std::make_shared<const ColumnStore>(out.schema_, std::move(backend));
+  out.store_ = std::make_shared<const ColumnStore>(std::move(backend));
   return out;
 }
 

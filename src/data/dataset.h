@@ -3,8 +3,8 @@
 // Rows are individuals; columns are attributes holding discrete Values in
 // [0, cardinality). Column-major storage makes joint-distribution counting —
 // the hot loop of network learning — cache-friendly. Counting itself runs on
-// a lazily built, mutation-invalidated ColumnStore snapshot (bit-packed
-// binary columns, cached generalized columns, row-sharded kernels); see
+// a lazily built, mutation-invalidated ColumnStore snapshot (every column
+// and generalized level bit-packed, row-sharded kernels); see
 // data/column_store.h.
 
 #ifndef PRIVBAYES_DATA_DATASET_H_
@@ -88,8 +88,8 @@ class Dataset {
   /// Empirical joint counts over generalized attributes: each GenAttr
   /// contributes its taxonomy-level-generalized value. Variable ids are
   /// GenVarId(g). Used by the hierarchical algorithm (§5.2). Runs on the
-  /// ColumnStore engine (popcount kernel for all-binary sets, cached-column
-  /// radix kernel otherwise).
+  /// ColumnStore engine (popcount kernel for all-binary sets, packed radix
+  /// kernel otherwise).
   ProbTable JointCountsGeneralized(std::span<const GenAttr> gattrs) const;
 
   /// The seed's reference counting pass (O(n) scratch, per-row Generalize).

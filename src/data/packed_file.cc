@@ -124,6 +124,25 @@ uint32_t PackedLog2Bits(int cardinality) {
   return 4;  // Value is uint16_t; cardinality is capped at 65536
 }
 
+uint64_t LayoutPackedSlices(const Schema& schema, int64_t num_rows,
+                            uint64_t offset,
+                            std::vector<std::vector<PackedSliceInfo>>& slices) {
+  slices.assign(static_cast<size_t>(schema.num_attrs()), {});
+  for (int a = 0; a < schema.num_attrs(); ++a) {
+    const TaxonomyTree& tax = schema.attr(a).taxonomy;
+    for (int l = 0; l < tax.num_levels(); ++l) {
+      PackedSliceInfo s;
+      s.log2_bits = PackedLog2Bits(tax.CardinalityAt(l));
+      const uint64_t rpw = uint64_t{64} >> s.log2_bits;
+      s.byte_offset = Align64(offset);
+      s.word_count = (static_cast<uint64_t>(num_rows) + rpw - 1) / rpw;
+      offset = s.byte_offset + s.word_count * 8;
+      slices[a].push_back(s);
+    }
+  }
+  return Align64(offset);
+}
+
 PackedFileHeader ParsePackedHeader(const uint8_t* bytes, size_t size) {
   // Magic before size: "not a packed dataset" is the more useful diagnosis
   // for a wrong-format file, however short it is.
@@ -267,24 +286,23 @@ PackedFileWriter::PackedFileWriter(const std::string& path,
   PutU32(header, num_slices);
   header.append(attr_table);
 
-  uint64_t offset = Align64(header_bytes);
+  std::vector<std::vector<PackedSliceInfo>> layout;
+  const uint64_t file_bytes =
+      LayoutPackedSlices(schema_, num_rows, Align64(header_bytes), layout);
   for (int a = 0; a < schema_.num_attrs(); ++a) {
     const TaxonomyTree& tax = schema_.attr(a).taxonomy;
     for (int l = 0; l < tax.num_levels(); ++l) {
+      const PackedSliceInfo& info = layout[a][l];
       SliceWriter s;
-      s.log2_bits = PackedLog2Bits(tax.CardinalityAt(l));
+      s.log2_bits = info.log2_bits;
       s.row_mask = (uint32_t{64} >> s.log2_bits) - 1;
       s.leaf_map = l == 0 ? nullptr : tax.LeafMapAt(l).data();
-      s.byte_offset = offset;
+      s.byte_offset = info.byte_offset;
       s.buf.reserve(kWriterBufferWords);
-      const uint64_t rpw = uint64_t{64} >> s.log2_bits;
-      const uint64_t words =
-          (static_cast<uint64_t>(num_rows) + rpw - 1) / rpw;
-      PutU32(header, s.log2_bits);
+      PutU32(header, info.log2_bits);
       PutU32(header, 0);
-      PutU64(header, s.byte_offset);
-      PutU64(header, words);
-      offset = Align64(offset + words * 8);
+      PutU64(header, info.byte_offset);
+      PutU64(header, info.word_count);
       slices_.push_back(std::move(s));
     }
   }
@@ -292,7 +310,7 @@ PackedFileWriter::PackedFileWriter(const std::string& path,
 
   fd_ = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
   if (fd_ < 0) Fail("cannot create '" + path + "': " + std::strerror(errno));
-  if (::ftruncate(fd_, static_cast<off_t>(offset)) != 0) {
+  if (::ftruncate(fd_, static_cast<off_t>(file_bytes)) != 0) {
     Fail("cannot size '" + path + "': " + std::strerror(errno));
   }
   ssize_t w = ::pwrite(fd_, header.data(), header.size(), 0);

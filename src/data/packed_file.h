@@ -5,7 +5,7 @@
 // is exactly that layout plus a self-describing header: schema (names,
 // kinds, numeric ranges, full taxonomy leaf maps) and one 64-byte-aligned
 // word region per (attribute, taxonomy level) "slice". A packed file opened
-// through MmapColumnBackend (data/column_backend.h) serves counting directly
+// through ColumnBackend::Open (data/column_backend.h) serves counting directly
 // from the mapping — no rows are ever materialized — which is what lets a
 // 100M-row dataset fit and serve at a fraction of its raw size resident.
 //
@@ -73,8 +73,16 @@ struct PackedFileHeader {
 };
 
 /// Minimal power-of-two bit width for a cardinality (log2 of 1/2/4/8/16).
-/// Shared with the in-memory packer so both backends agree on geometry.
 uint32_t PackedLog2Bits(int cardinality);
+
+/// Lays out one slice per (attribute, level) of `schema` at `num_rows` rows,
+/// each at its PackedLog2Bits width and 64-byte aligned, from byte `offset`
+/// on (`slices` is [attr][level]). Returns the aligned end of the last
+/// slice. The writer and the heap store share it, so both produce the
+/// geometry ParsePackedHeader validates.
+uint64_t LayoutPackedSlices(const Schema& schema, int64_t num_rows,
+                            uint64_t offset,
+                            std::vector<std::vector<PackedSliceInfo>>& slices);
 
 /// Parses and validates a packed-file header from the first `size` bytes of
 /// the file. Throws std::runtime_error with a descriptive message on bad

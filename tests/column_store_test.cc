@@ -1,5 +1,5 @@
 // Engine-equivalence tests for the columnar counting engine: the packed
-// popcount kernel and the cached-generalized radix kernel must return counts
+// popcount kernel and the packed radix kernel must return counts
 // BIT-IDENTICAL to the seed's naive pass (both accumulate integers, so exact
 // double comparison is the right check).
 
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "data/column_store.h"
 #include "data/dataset.h"
 #include "data/generators.h"
@@ -55,6 +56,45 @@ TEST(ColumnStore, PackedCountsMatchNaiveOnRandomBinaryData) {
       pick.Shuffle(order);
       std::vector<GenAttr> gattrs;
       for (int j = 0; j < arity; ++j) gattrs.push_back(GenAttr{order[j], 0});
+      ExpectIdenticalCounts(d, gattrs);
+    }
+  }
+}
+
+TEST(ColumnStore, RadixMatchesNaiveAtEveryWidthAlignmentAndThreadCount) {
+  // One attribute per packed width (1/2/4/8/16 bits), cardinalities below
+  // 2^bits included, plus nine binaries for a k > kMaxPackedAttrs set.
+  std::vector<Attribute> attrs = {
+      Attribute::Categorical("c3", 3),       // 2 bits
+      Attribute::Categorical("c13", 13),     // 4 bits
+      Attribute::Categorical("c200", 200),   // 8 bits
+      Attribute::Categorical("c300", 300),   // 16 bits
+      Attribute::Continuous("x", 0, 16, 16)  // 4 bits; levels 4/2/1 bits
+  };
+  for (int i = 0; i < 9; ++i) {
+    attrs.push_back(Attribute::Binary("b" + std::to_string(i)));  // 1 bit
+  }
+  const Schema schema(attrs);
+  std::vector<GenAttr> all_binary;
+  for (int i = 5; i < 14; ++i) all_binary.push_back(GenAttr{i, 0});
+  const std::vector<std::vector<GenAttr>> sets = {
+      {{5, 0}, {0, 0}},                    // 1-bit leading
+      {{0, 0}, {5, 0}},                    // 1-bit folded
+      {{1, 0}, {2, 0}},                    // 4 and 8 bits
+      {{3, 0}},                            // 16 bits alone
+      {{3, 0}, {5, 0}, {0, 0}},            // 16-bit leading
+      {{5, 0}, {0, 0}, {1, 0}, {2, 0}},    // 1/2/4/8 bits
+      {{4, 1}, {4, 2}, {4, 3}, {0, 0}},    // generalized levels
+      all_binary,                          // radix past the popcount kernels
+  };
+  // 2^15 + 37 rows engage the row-sharded pass when the pool has more than
+  // one thread (ctest also runs this under PRIVBAYES_THREADS=4).
+  for (int n : {1, 63, 64, 65, 4097, (1 << 15) + 37}) {
+    Dataset d = RandomDataset(schema, n, 91 + n);
+    for (const std::vector<GenAttr>& gattrs : sets) {
+      SCOPED_TRACE(::testing::Message()
+                   << "n=" << n << " k=" << gattrs.size() << " threads="
+                   << ThreadPool::Global().num_threads());
       ExpectIdenticalCounts(d, gattrs);
     }
   }

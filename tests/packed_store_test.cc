@@ -1,12 +1,13 @@
-// Backend-equivalence tests for the pluggable storage layer: a ColumnStore
-// over an mmap of a packed file must be BIT-IDENTICAL to the heap store
-// built from the same rows — for counting (every kernel path), for the
+// Source-equivalence tests for the packed storage layer: a ColumnStore over
+// an mmap of a packed file must be BIT-IDENTICAL to the heap store packed
+// from the same rows — for counting (every kernel dispatch level), for the
 // generalized-column cache, for sampling, and for a whole fit. Plus the
 // error paths a versioned on-disk format owes its users: bad magic, newer
-// version, truncated header, truncated payload.
+// version, truncated header, truncated payload, out-of-domain payload.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -65,14 +66,13 @@ void ExpectIdenticalCounts(const Dataset& heap, const Dataset& mapped,
   }
 }
 
-// Counting equivalence across every kernel mode the dispatch can take.
+// Counting equivalence at the scalar and the detected dispatch level.
 void ExpectEquivalentAcrossModes(const Dataset& heap, const Dataset& mapped,
                                  std::span<const GenAttr> gattrs) {
-  ExpectIdenticalCounts(heap, mapped, gattrs);  // environment default
-  SetSimdForTesting(SimdLevel::kScalar, /*packed_gather=*/false);
-  ExpectIdenticalCounts(heap, mapped, gattrs);  // scalar, gather off
-  SetSimdForTesting(DetectedSimdLevel(), /*packed_gather=*/true);
-  ExpectIdenticalCounts(heap, mapped, gattrs);  // best ISA, gather forced
+  SetSimdForTesting(SimdLevel::kScalar);
+  ExpectIdenticalCounts(heap, mapped, gattrs);
+  SetSimdForTesting(DetectedSimdLevel());
+  ExpectIdenticalCounts(heap, mapped, gattrs);
   ResetSimdForTesting();
 }
 
@@ -113,8 +113,7 @@ TEST(PackedStore, CountingBitIdenticalToHeapAcrossKernelModes) {
   // All-binary level-0 set: the packed popcount kernels.
   std::vector<GenAttr> binary = {{0, 0}, {1, 0}};
   ExpectEquivalentAcrossModes(d, mapped, binary);
-  // Mixed set: the packed-gather radix kernel (and, gather-off, the raw
-  // radix over cache-materialized columns).
+  // Mixed set: the radix kernel.
   std::vector<GenAttr> mixed = {{0, 0}, {2, 0}, {14, 0}};
   ExpectEquivalentAcrossModes(d, mapped, mixed);
   // Generalized levels, including a deep taxonomy.
@@ -159,7 +158,7 @@ TEST(PackedStore, FitAndSampleBitIdenticalToHeap) {
           << "row " << r << " col " << c;
     }
   }
-  // LogLikelihood reads raw columns through PinColumn on both backends.
+  // LogLikelihood reads Value columns through PinColumn on both sources.
   const double ll_heap = LogLikelihood(d, heap_model.network,
                                        heap_model.conditionals);
   const double ll_mapped = LogLikelihood(mapped, mapped_model.network,
@@ -209,12 +208,30 @@ TEST(PackedStore, GenCacheEvictsUnderBudgetButServesPins) {
   EXPECT_LE(store->gen_cache_bytes(), 6000u * 2);  // entry granularity
 }
 
-TEST(PackedStore, HeapStorePinsAreFreeAliases) {
-  Dataset d = MakeAdult(9, 300);
-  std::shared_ptr<const ColumnStore> store = d.store();
-  ColumnStore::PinnedColumn pin = store->PinColumn(0, 0);
-  EXPECT_EQ(pin.get(), store->generalized(0, 0));
-  EXPECT_EQ(store->gen_cache_materializations(), 0u);
+TEST(PackedStore, HeapAndMappedPinsDecodeIdenticalColumns) {
+  Dataset d = MakeAdult(9, 997);
+  TempPacked file("pins.pbp");
+  WritePacked(d, file.path());
+  Dataset mapped = Dataset::FromPackedFile(file.path());
+  std::shared_ptr<const ColumnStore> heap_store = d.store();
+  std::shared_ptr<const ColumnStore> mapped_store = mapped.store();
+  for (int a = 0; a < d.num_attrs(); ++a) {
+    const TaxonomyTree& tax = d.schema().attr(a).taxonomy;
+    for (int l = 0; l < tax.num_levels(); ++l) {
+      ColumnStore::PinnedColumn heap_pin = heap_store->PinColumn(a, l);
+      ColumnStore::PinnedColumn mapped_pin = mapped_store->PinColumn(a, l);
+      for (int64_t r = 0; r < d.num_rows(); ++r) {
+        const size_t i = static_cast<size_t>(r);
+        ASSERT_EQ(heap_pin[i], mapped_pin[i])
+            << "attr " << a << " level " << l << " row " << r;
+        ASSERT_EQ(heap_pin[i], tax.Generalize(d.at(r, a), l));
+      }
+    }
+  }
+  // Both sources decode through the one generalized-column cache.
+  EXPECT_GT(heap_store->gen_cache_materializations(), 0u);
+  EXPECT_EQ(heap_store->gen_cache_materializations(),
+            mapped_store->gen_cache_materializations());
 }
 
 TEST(PackedStore, OutOfCoreGuardsThrowOnResidentOnlyOperations) {
@@ -302,6 +319,35 @@ TEST(PackedStore, RejectsTruncatedPayload) {
   } catch (const std::exception& e) {
     EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(PackedStore, RejectsOutOfDomainPayload) {
+  // Cardinality 3 packs at 2 bits, so a payload of all-ones bytes decodes to
+  // value 3: outside the domain every kernel indexes histograms by.
+  Schema schema({Attribute::Categorical("a", 3),
+                 Attribute::Categorical("b", 3)});
+  Dataset d(schema, 100);
+  TempPacked file("domain.pbp");
+  WritePacked(d, file.path());
+  std::vector<uint8_t> bytes = ReadBytes(file.path());
+  const PackedFileHeader header =
+      ParsePackedHeader(bytes.data(), bytes.size());
+  for (const std::vector<PackedSliceInfo>& levels : header.slices) {
+    for (const PackedSliceInfo& s : levels) {
+      std::fill_n(bytes.begin() + static_cast<std::ptrdiff_t>(s.byte_offset),
+                  s.word_count * 8, uint8_t{0xFF});
+    }
+  }
+  WriteBytes(file.path(), bytes);
+  try {
+    Dataset mapped = Dataset::FromPackedFile(file.path());
+    mapped.JointCountsGeneralized(std::vector<GenAttr>{{0, 0}, {1, 0}});
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("out of domain"), std::string::npos) << what;
+    EXPECT_NE(what.find("'a' level 0"), std::string::npos) << what;
   }
 }
 

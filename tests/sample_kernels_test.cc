@@ -25,7 +25,7 @@ namespace {
 // environment-derived default on exit.
 class ScopedSimd {
  public:
-  explicit ScopedSimd(SimdLevel level) { SetSimdForTesting(level, false); }
+  explicit ScopedSimd(SimdLevel level) { SetSimdForTesting(level); }
   ~ScopedSimd() { ResetSimdForTesting(); }
 };
 

@@ -1,6 +1,6 @@
 // Equivalence and dispatch tests for the SIMD counting subsystem: every
 // kernel the runtime dispatcher can select (scalar tree, AVX2/AVX-512 index
-// assembly, AVX-512 vpopcntdq tree, packed-gather and raw radix) must return
+// assembly, AVX-512 vpopcntdq tree, and the packed radix kernel) must return
 // counts BIT-IDENTICAL to the seed's naive pass, at row counts that straddle
 // the 64/256/512-row block boundaries the kernels tile by.
 
@@ -26,9 +26,7 @@ namespace {
 // environment-derived default on exit.
 class ScopedSimd {
  public:
-  ScopedSimd(SimdLevel level, bool packed_gather) {
-    SetSimdForTesting(level, packed_gather);
-  }
+  explicit ScopedSimd(SimdLevel level) { SetSimdForTesting(level); }
   ~ScopedSimd() { ResetSimdForTesting(); }
 };
 
@@ -80,19 +78,17 @@ TEST(SimdKernels, AllDispatchPathsMatchNaiveAcrossArities) {
   for (int n : {1, 63, 64, 65, 255, 256, 257, 511, 512, 513, 1000, 4097}) {
     Dataset d = RandomBinaryDataset(10, n, 1000 + n);
     for (SimdLevel level : AvailableLevels()) {
-      for (bool gather : {false, true}) {
-        ScopedSimd forced(level, gather);
-        for (int arity = 1; arity <= 10; ++arity) {
-          std::vector<GenAttr> gattrs;
-          for (int j = 0; j < arity; ++j) {
-            gattrs.push_back(GenAttr{(j * 3) % 10, 0});
-          }
-          // De-duplicate attrs produced by the stride walk.
-          std::sort(gattrs.begin(), gattrs.end());
-          gattrs.erase(std::unique(gattrs.begin(), gattrs.end()),
-                       gattrs.end());
-          ExpectIdenticalCounts(d, gattrs, "random binary");
+      ScopedSimd forced(level);
+      for (int arity = 1; arity <= 10; ++arity) {
+        std::vector<GenAttr> gattrs;
+        for (int j = 0; j < arity; ++j) {
+          gattrs.push_back(GenAttr{(j * 3) % 10, 0});
         }
+        // De-duplicate attrs produced by the stride walk.
+        std::sort(gattrs.begin(), gattrs.end());
+        gattrs.erase(std::unique(gattrs.begin(), gattrs.end()),
+                     gattrs.end());
+        ExpectIdenticalCounts(d, gattrs, "random binary");
       }
     }
   }
@@ -113,7 +109,7 @@ TEST(SimdKernels, ConstantColumnsMatchNaive) {
       for (int r = 0; r < n; ++r) ones.Set(r, c, 1);
     }
     for (SimdLevel level : AvailableLevels()) {
-      ScopedSimd forced(level, true);
+      ScopedSimd forced(level);
       for (int arity : {1, 4, 7, 8}) {
         std::vector<GenAttr> gattrs;
         for (int j = 0; j < arity; ++j) gattrs.push_back(GenAttr{j, 0});
@@ -124,7 +120,7 @@ TEST(SimdKernels, ConstantColumnsMatchNaive) {
   }
 }
 
-TEST(SimdKernels, PackedGatherMatchesRawRadixOnGeneralizedAdult) {
+TEST(SimdKernels, RadixMatchesNaiveOnGeneralizedAdult) {
   Dataset d = MakeAdult(11, 4001);
   const Schema& schema = d.schema();
   std::vector<GenAttr> generalized;
@@ -138,20 +134,10 @@ TEST(SimdKernels, PackedGatherMatchesRawRadixOnGeneralizedAdult) {
       {GenAttr{0, 0}, generalized[2], generalized[3]},
   };
   for (const std::vector<GenAttr>& gattrs : sets) {
-    ProbTable raw, packed;
-    {
-      ScopedSimd forced(SimdLevel::kScalar, false);
-      raw = d.JointCountsGeneralized(gattrs);
+    for (SimdLevel level : AvailableLevels()) {
+      ScopedSimd forced(level);
+      ExpectIdenticalCounts(d, gattrs, "generalized adult");
     }
-    {
-      ScopedSimd forced(DetectedSimdLevel(), true);
-      packed = d.JointCountsGeneralized(gattrs);
-    }
-    ASSERT_EQ(raw.size(), packed.size());
-    for (size_t i = 0; i < raw.size(); ++i) {
-      ASSERT_EQ(raw[i], packed[i]) << "cell " << i;
-    }
-    ExpectIdenticalCounts(d, gattrs, "generalized adult");
   }
 }
 
@@ -175,7 +161,7 @@ TEST(SimdKernels, MinimalBitWidthsFollowCardinality) {
 
 TEST(SimdKernels, SelectPackedKernelNeverNull) {
   for (SimdLevel level : AvailableLevels()) {
-    ScopedSimd forced(level, true);
+    ScopedSimd forced(level);
     for (int k = 1; k <= kMaxPackedAttrs; ++k) {
       EXPECT_NE(SelectPackedKernel(k), nullptr)
           << "k=" << k << " level=" << SimdLevelName(level);
@@ -211,15 +197,14 @@ TEST(SimdKernels, ActiveConfigRespectsDetection) {
   EXPECT_LE(ActiveSimd().level, DetectedSimdLevel());
   // Forcing beyond detection clamps.
   {
-    ScopedSimd forced(SimdLevel::kAvx512, true);
+    ScopedSimd forced(SimdLevel::kAvx512);
     EXPECT_LE(ActiveSimd().level, DetectedSimdLevel());
   }
   // If the suite runs under PRIVBAYES_SIMD=off (the CI fallback job), the
-  // active level must be scalar and packed-gather disabled.
+  // active level must be scalar.
   const char* env = std::getenv("PRIVBAYES_SIMD");
   if (env != nullptr && std::string_view(env) == "off") {
     EXPECT_EQ(ActiveSimd().level, SimdLevel::kScalar);
-    EXPECT_EQ(ActiveSimd().packed_gather, PackedGatherMode::kOff);
   }
 }
 
@@ -227,7 +212,7 @@ TEST(SimdKernels, NltcsScaleGreedyShapedSets) {
   // The exact shape the greedy loop counts, at NLTCS scale, on every level.
   Dataset d = MakeNltcs(12, 21574);
   for (SimdLevel level : AvailableLevels()) {
-    ScopedSimd forced(level, true);
+    ScopedSimd forced(level);
     for (int attrs : {2, 5, 8}) {
       std::vector<GenAttr> gattrs;
       for (int a = 0; a < attrs; ++a) gattrs.push_back(GenAttr{a, 0});

@@ -179,8 +179,8 @@ int PackCsv(const std::string& csv_path, const std::string& schema_name,
 }
 
 int Info(const std::string& path) {
-  std::shared_ptr<pb::MmapColumnBackend> backend =
-      pb::MmapColumnBackend::Open(path);
+  std::shared_ptr<const pb::ColumnBackend> backend =
+      pb::ColumnBackend::Open(path);
   const pb::Schema& schema = backend->schema();
   std::printf("packed file    %s\n", path.c_str());
   std::printf("format version %u\n", backend->version());
