@@ -13,90 +13,20 @@
 
 #include "common/check.h"
 #include "common/numa.h"
+#include "data/packed_codec.h"
 
 namespace privbayes {
 
 namespace {
 
-// Calls op(i, v) for the `count` values stored from `bytes` on, at
-// 2^kLog2Bits bits each. One loop per width, so every shift and mask is a
-// constant; sub-byte widths read a byte at a time (row j of a byte sits at
-// bit j·bits in the little-endian word stream), which the compiler turns
-// into vector nibble/crumb splits.
-template <uint32_t kLog2Bits, typename Op>
-inline void ForEachPacked(const uint8_t* bytes, size_t count, Op&& op) {
-  constexpr uint32_t kBits = 1u << kLog2Bits;
-  if constexpr (kBits == 16) {
-    for (size_t i = 0; i < count; ++i) {
-      op(i, uint32_t{bytes[2 * i]} | uint32_t{bytes[2 * i + 1]} << 8);
-    }
-  } else {
-    constexpr size_t kPerByte = 8 / kBits;
-    constexpr uint32_t kMask = (1u << kBits) - 1;
-    const size_t full = count / kPerByte;
-    for (size_t b = 0; b < full; ++b) {
-      const uint32_t byte = bytes[b];
-      for (size_t j = 0; j < kPerByte; ++j) {
-        op(b * kPerByte + j, (byte >> (j * kBits)) & kMask);
-      }
-    }
-    for (size_t i = full * kPerByte; i < count; ++i) {
-      op(i, (uint32_t{bytes[i / kPerByte]} >> ((i % kPerByte) * kBits)) &
-                kMask);
-    }
-  }
-}
-
-// Byte address of row `row` (a multiple of 64, so word- and byte-aligned).
-inline const uint8_t* RowBytes(const uint64_t* words, size_t row,
-                               uint32_t log2_bits) {
-  return reinterpret_cast<const uint8_t*>(words + (row >> (6 - log2_bits)));
-}
-
 template <uint32_t kLog2Bits, bool kLeading>
 void Fold(const uint64_t* words, size_t first_row, size_t rows, uint32_t card,
           uint32_t* idx) {
-  ForEachPacked<kLog2Bits>(RowBytes(words, first_row, kLog2Bits), rows,
-                           [&](size_t i, uint32_t v) {
-                             idx[i] = kLeading ? v : idx[i] * card + v;
-                           });
-}
-
-template <uint32_t kLog2Bits>
-void Unpack(const uint64_t* words, size_t first_row, size_t rows, Value* out) {
-  ForEachPacked<kLog2Bits>(
-      RowBytes(words, first_row, kLog2Bits), rows,
-      [&](size_t i, uint32_t v) { out[i] = static_cast<Value>(v); });
-}
-
-// Packs `n` rows — col[r], or leaf_map[col[r]] for a generalized level —
-// at 2^kLog2Bits bits each. Every word is written whole, so bits past row
-// n-1 are zero.
-template <uint32_t kLog2Bits>
-void Pack(const Value* col, const Value* leaf_map, size_t n, uint64_t* words) {
-  constexpr uint32_t kBits = 1u << kLog2Bits;
-  constexpr size_t kPerWord = 64 / kBits;
-  for (size_t w = 0; w * kPerWord < n; ++w) {
-    const size_t end = std::min(n - w * kPerWord, kPerWord);
-    const Value* src = col + w * kPerWord;
-    uint64_t word = 0;
-    for (size_t j = 0; j < end; ++j) {
-      const uint64_t v = leaf_map == nullptr ? src[j] : leaf_map[src[j]];
-      word |= v << (j * kBits);
-    }
-    words[w] = word;
-  }
-}
-
-void PackSlice(const Value* col, const Value* leaf_map, size_t n,
-               uint32_t log2_bits, uint64_t* words) {
-  switch (log2_bits) {
-    case 0: return Pack<0>(col, leaf_map, n, words);
-    case 1: return Pack<1>(col, leaf_map, n, words);
-    case 2: return Pack<2>(col, leaf_map, n, words);
-    case 3: return Pack<3>(col, leaf_map, n, words);
-    default: return Pack<4>(col, leaf_map, n, words);
-  }
+  const uint8_t* bytes = reinterpret_cast<const uint8_t*>(words) +
+                         PackedBytes(first_row, kLog2Bits);
+  ForEachPacked<kLog2Bits>(bytes, rows, [&](size_t i, uint32_t v) {
+    idx[i] = kLeading ? v : idx[i] * card + v;
+  });
 }
 
 // Rows decoded per step of the open-time domain scan.
@@ -113,13 +43,11 @@ void CheckSliceDomain(const ColumnBackend& backend, int attr, int level) {
   if (card >= (1 << (1 << s.log2_bits))) return;
   Value buf[kScanRows] = {};
   for (int64_t begin = 0; begin < backend.num_rows(); begin += kScanRows) {
-    const int64_t end = std::min(backend.num_rows(), begin + kScanRows);
-    UnpackValues(s, begin, end, buf);
-    // A plain reduction loop vectorizes; std::max_element does not.
-    Value max_value = 0;
-    for (int64_t i = 0; i < end - begin; ++i) {
-      max_value = std::max(max_value, buf[i]);
-    }
+    const size_t rows = static_cast<size_t>(
+        std::min(backend.num_rows() - begin, kScanRows));
+    UnpackValues(s.bytes() + PackedBytes(begin, s.log2_bits), rows,
+                 s.log2_bits, buf);
+    const Value max_value = MaxValue(buf, rows);
     if (static_cast<int>(max_value) >= card) {
       throw std::runtime_error(
           "packed file: value " + std::to_string(max_value) +
@@ -147,6 +75,9 @@ ColumnBackend::ColumnBackend(const Schema& schema,
   owned_.resize(LayoutPackedSlices(schema, num_rows, 0, header_.slices) /
                 sizeof(uint64_t));
   base_ = reinterpret_cast<const uint8_t*>(owned_.data());
+  // Packing writes only each slice's PackedBytes; the rest of its last word
+  // keeps resize's zeros.
+  auto* owned_bytes = reinterpret_cast<uint8_t*>(owned_.data());
 
   const size_t n = static_cast<size_t>(num_rows);
   for (int a = 0; a < d; ++a) {
@@ -154,9 +85,17 @@ ColumnBackend::ColumnBackend(const Schema& schema,
     const TaxonomyTree& tax = schema.attr(a).taxonomy;
     for (int l = 0; l < tax.num_levels(); ++l) {
       const PackedSliceInfo& s = header_.slices[a][l];
-      PackSlice(columns[a].data(), l == 0 ? nullptr : tax.LeafMapAt(l).data(),
-                n, s.log2_bits,
-                owned_.data() + s.byte_offset / sizeof(uint64_t));
+      const Value* col = columns[a].data();
+      uint8_t* out = owned_bytes + s.byte_offset;
+      if (l == 0) {
+        PackValues(col, n, s.log2_bits, out);
+        continue;
+      }
+      const Value* leaf_map = tax.LeafMapAt(l).data();
+      WithLog2Bits(s.log2_bits, [&](auto k) {
+        PackEach<decltype(k)::value>(
+            n, out, [&](size_t i) { return leaf_map[col[i]]; });
+      });
     }
   }
 }
@@ -234,21 +173,7 @@ ColumnBackend::~ColumnBackend() {
   if (map_size_ != 0) ::munmap(const_cast<uint8_t*>(base_), map_size_);
 }
 
-// ------------------------------------------------------------------ codec
-
-void UnpackValues(const PackedSlice& slice, int64_t begin, int64_t end,
-                  Value* out) {
-  PB_CHECK(begin % 64 == 0 && begin <= end);
-  const size_t first = static_cast<size_t>(begin);
-  const size_t rows = static_cast<size_t>(end - begin);
-  switch (slice.log2_bits) {
-    case 0: return Unpack<0>(slice.words, first, rows, out);
-    case 1: return Unpack<1>(slice.words, first, rows, out);
-    case 2: return Unpack<2>(slice.words, first, rows, out);
-    case 3: return Unpack<3>(slice.words, first, rows, out);
-    default: return Unpack<4>(slice.words, first, rows, out);
-  }
-}
+// ------------------------------------------------------------------- fold
 
 PackedFoldFn SelectPackedFold(uint32_t log2_bits, bool leading) {
   static constexpr PackedFoldFn kFolds[2][5] = {

@@ -1,12 +1,15 @@
-// The packed words under a ColumnStore, and the codec that reads them.
+// The packed words under a ColumnStore.
 //
 // The ColumnStore (data/column_store.h) is the layout/API front of the
 // counting engine: snapshot identity, kernel dispatch, and the
 // generalized-column cache. The bytes it counts live here, in exactly one
-// representation: every (attribute, taxonomy level) slice bit-packed at the
-// minimal power-of-two width its cardinality needs (1/2/4/8/16 bits), in
-// word regions at 64-byte offsets with zeroed tail bits — the PBPACKED
-// slice geometry of data/packed_file.h. Only the allocation source differs:
+// representation: every (attribute, taxonomy level) slice bit-packed by the
+// codec of data/packed_codec.h at the minimal power-of-two width its
+// cardinality needs (1/2/4/8/16 bits), in word regions at 64-byte offsets
+// with zeroed tail bits — the PBPACKED slice geometry of data/packed_file.h.
+// The SAMPLEB wire packs its row-frame columns with the same codec, so a
+// slice's leading bytes are the wire bytes of that column. Only the
+// allocation source differs:
 //
 //   * heap — built from in-memory columns: every slice is packed once into
 //     owned words. No raw or generalized Value column is kept, so a
@@ -41,6 +44,11 @@ struct PackedSlice {
   const uint64_t* words = nullptr;
   uint64_t num_words = 0;
   uint32_t log2_bits = 0;  ///< log2 of bits per value: 0..4 (1..16 bits)
+
+  /// The slice as the codec's byte stream (little-endian words).
+  const uint8_t* bytes() const {
+    return reinterpret_cast<const uint8_t*>(words);
+  }
 };
 
 /// Where a ColumnStore's packed words live. Immutable once constructed; all
@@ -100,12 +108,6 @@ class ColumnBackend {
   size_t map_size_ = 0;  // nonzero iff base_ is a mapping
   std::vector<uint64_t> owned_;
 };
-
-/// Decodes rows [begin, end) of a packed slice into `out` (one Value per
-/// row); `begin` must be a multiple of 64. The generalized-column cache's
-/// decoder.
-void UnpackValues(const PackedSlice& slice, int64_t begin, int64_t end,
-                  Value* out);
 
 /// One column step of the radix kernel over rows [first_row, first_row +
 /// rows) of a slice, `first_row` a multiple of 64: idx[i] = idx[i] · card +

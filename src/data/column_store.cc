@@ -171,7 +171,8 @@ ColumnStore::PinnedColumn ColumnStore::PinColumn(int attr, int level) const {
     lock.unlock();
     auto col = std::make_shared<std::vector<Value>>(
         static_cast<size_t>(num_rows_));
-    UnpackValues(backend_->Packed(attr, level), 0, num_rows_, col->data());
+    const PackedSlice s = backend_->Packed(attr, level);
+    UnpackValues(s.bytes(), col->size(), s.log2_bits, col->data());
     backend_->ReleaseResidency(attr, level);  // decoded copy supersedes pages
     lock.lock();
     it = cache.entries.find(key);

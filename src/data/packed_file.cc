@@ -116,14 +116,6 @@ std::string SerializeAttrTable(const Schema& schema) {
 
 }  // namespace
 
-uint32_t PackedLog2Bits(int cardinality) {
-  if (cardinality <= 2) return 0;
-  if (cardinality <= 4) return 1;
-  if (cardinality <= 16) return 2;
-  if (cardinality <= 256) return 3;
-  return 4;  // Value is uint16_t; cardinality is capped at 65536
-}
-
 uint64_t LayoutPackedSlices(const Schema& schema, int64_t num_rows,
                             uint64_t offset,
                             std::vector<std::vector<PackedSliceInfo>>& slices) {

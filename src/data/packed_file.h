@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "data/attribute.h"
+#include "data/packed_codec.h"
 
 namespace privbayes {
 
@@ -71,9 +72,6 @@ struct PackedFileHeader {
   uint64_t file_bytes = 0;  ///< minimum file size the slice table implies
   std::vector<std::vector<PackedSliceInfo>> slices;  ///< [attr][level]
 };
-
-/// Minimal power-of-two bit width for a cardinality (log2 of 1/2/4/8/16).
-uint32_t PackedLog2Bits(int cardinality);
 
 /// Lays out one slice per (attribute, level) of `schema` at `num_rows` rows,
 /// each at its PackedLog2Bits width and 64-byte aligned, from byte `offset`

@@ -16,6 +16,7 @@
 
 #include "common/random.h"
 #include "data/csv.h"
+#include "data/packed_codec.h"
 #include "serve/wire.h"
 
 namespace privbayes {
@@ -333,7 +334,8 @@ Dataset ServeClient::SampleBinary(const std::string& model, int64_t num_rows,
     // a full row frame can reach. A hostile 4 GB length prefix, an oversize
     // row frame or more rows than the request asked for is a typed protocol
     // error, never an allocation.
-    std::vector<int> cards, bits;
+    std::vector<int> cards;
+    std::vector<uint32_t> log2_bits;
     std::vector<std::vector<Value>> cols_data;
     size_t max_row_frame = 0;  // computed from the schema frame
     std::string payload;
@@ -370,10 +372,14 @@ Dataset ServeClient::SampleBinary(const std::string& model, int64_t num_rows,
           int card = LoadU16(payload.data() + 3 + 2 * c);
           if (card == 0) card = 65536;  // wire encoding of the u16 overflow
           cards.push_back(card);
-          bits.push_back(WirePackedBits(card));
-          max_row_frame += WirePackedBytes(kMaxWireFrameRows, bits.back());
+          log2_bits.push_back(PackedLog2Bits(card));
+          max_row_frame += PackedBytes(kMaxWireFrameRows, log2_bits.back());
         }
+        // The overrun check below bounds every column at `rows` values.
         cols_data.assign(static_cast<size_t>(cols), {});
+        for (std::vector<Value>& col : cols_data) {
+          col.reserve(static_cast<size_t>(rows));
+        }
         saw_schema = true;
       } else if (type == kWireFrameRows) {
         if (!saw_schema || len < 3) {
@@ -393,14 +399,23 @@ Dataset ServeClient::SampleBinary(const std::string& model, int64_t num_rows,
         }
         size_t at = 3;
         for (int c = 0; c < cols; ++c) {
-          if (at + WirePackedBytes(n, bits[c]) > len) {
+          const size_t bytes = PackedBytes(n, log2_bits[c]);
+          if (at + bytes > len) {
             throw ServeError(ServeErrorCode::kProtocol, "short row frame");
           }
           std::vector<Value>& col = cols_data[static_cast<size_t>(c)];
-          size_t base = col.size();
+          const size_t base = col.size();
           col.resize(base + static_cast<size_t>(n));
-          at += UnpackWireColumn(payload.data() + at, n, bits[c],
-                                 col.data() + base);
+          UnpackValues(reinterpret_cast<const uint8_t*>(payload.data()) + at,
+                       static_cast<size_t>(n), log2_bits[c],
+                       col.data() + base);
+          if (MaxValue(col.data() + base, static_cast<size_t>(n)) >=
+              cards[c]) {
+            throw ServeError(ServeErrorCode::kProtocol,
+                             "SAMPLEB value out of domain for column '" +
+                                 names[static_cast<size_t>(c)] + "'");
+          }
+          at += bytes;
         }
       } else if (type == kWireFrameEnd) {
         if (!saw_schema) {

@@ -13,6 +13,7 @@
 #ifndef PRIVBAYES_SERVE_ROW_SINK_H_
 #define PRIVBAYES_SERVE_ROW_SINK_H_
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -52,10 +53,12 @@ class DatasetSink : public RowSink {
 /// Renders chunks as the length-prefixed binary frame stream of serve/wire.h
 /// (the SAMPLEB response body): Begin writes one schema frame (per-column
 /// cardinalities — both ends derive the packed bit widths from them), each
-/// Chunk writes row frames of at most kMaxWireFrameRows rows with every
-/// column packed at its minimal power-of-two bit width, End writes the end
-/// frame. Abort writes an error frame instead — the in-band failure marker a
-/// client must surface as a failed request. The stream must outlive the sink.
+/// Chunk writes row frames of at most kMaxWireFrameRows rows, End writes the
+/// end frame. A row frame is sized once, every column is packed in place by
+/// the codec of data/packed_codec.h, and the frame goes out, length prefix
+/// included, in one write. Abort writes an error frame instead — the in-band
+/// failure marker a client must surface as a failed request. The stream
+/// must outlive the sink.
 class BinaryRowSink : public RowSink {
  public:
   explicit BinaryRowSink(std::ostream& out) : out_(&out) {}
@@ -70,12 +73,12 @@ class BinaryRowSink : public RowSink {
   int64_t rows_written() const { return rows_written_; }
 
  private:
-  void WriteFrame();  // emits frame_ with its u32 length prefix
+  void WriteFrame(const std::string& payload);  // prefixes its u32 length
 
   std::ostream* out_;
-  std::vector<int> bits_;   // packed width per column
+  std::vector<uint32_t> log2_bits_;  // packed width per column
   int rows_per_frame_ = 1;  // bounded by u16 count AND kMaxWireFrame bytes
-  std::string frame_;       // reused payload build buffer
+  std::string frame_;       // reused row frame, length prefix included
   int64_t rows_written_ = 0;
 };
 

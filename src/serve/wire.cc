@@ -320,15 +320,23 @@ bool WriteWireBytes(int fd, const char* data, size_t len) {
 }
 
 void AppendU16(std::string& out, uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>(v >> 8));
+  out.resize(out.size() + 2);
+  StoreU16(out.data() + out.size() - 2, v);
 }
 
 void AppendU32(std::string& out, uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-  out.push_back(static_cast<char>((v >> 16) & 0xff));
-  out.push_back(static_cast<char>(v >> 24));
+  out.resize(out.size() + 4);
+  StoreU32(out.data() + out.size() - 4, v);
+}
+
+void StoreU16(char* p, uint16_t v) {
+  p[0] = static_cast<char>(v & 0xff);
+  p[1] = static_cast<char>(v >> 8);
+}
+
+void StoreU32(char* p, uint32_t v) {
+  StoreU16(p, static_cast<uint16_t>(v));
+  StoreU16(p + 2, static_cast<uint16_t>(v >> 16));
 }
 
 uint16_t LoadU16(const char* p) {
@@ -341,66 +349,6 @@ uint32_t LoadU32(const char* p) {
   return static_cast<uint32_t>(b[0]) | (static_cast<uint32_t>(b[1]) << 8) |
          (static_cast<uint32_t>(b[2]) << 16) |
          (static_cast<uint32_t>(b[3]) << 24);
-}
-
-int WirePackedBits(int cardinality) {
-  PB_CHECK(cardinality >= 1 && cardinality <= 65536);
-  int bits = 1;
-  while (bits < 16 && (1 << bits) < cardinality) bits <<= 1;
-  return bits;
-}
-
-size_t WirePackedBytes(int num_values, int bits) {
-  return (static_cast<size_t>(num_values) * static_cast<size_t>(bits) + 7) / 8;
-}
-
-void PackWireColumn(const Value* values, int n, int bits, std::string& out) {
-  switch (bits) {
-    case 16:
-      for (int r = 0; r < n; ++r) AppendU16(out, values[r]);
-      return;
-    case 8:
-      for (int r = 0; r < n; ++r) {
-        out.push_back(static_cast<char>(values[r] & 0xff));
-      }
-      return;
-    default: {
-      // 1/2/4 bits: 8/bits values per byte, LSB-first within the byte.
-      const int per_byte = 8 / bits;
-      const size_t bytes = WirePackedBytes(n, bits);
-      size_t base = out.size();
-      out.resize(base + bytes, '\0');
-      char* dst = out.data() + base;
-      for (int r = 0; r < n; ++r) {
-        dst[r / per_byte] = static_cast<char>(
-            dst[r / per_byte] |
-            ((values[r] & ((1 << bits) - 1)) << ((r % per_byte) * bits)));
-      }
-      return;
-    }
-  }
-}
-
-size_t UnpackWireColumn(const char* p, int n, int bits, Value* dst) {
-  switch (bits) {
-    case 16:
-      for (int r = 0; r < n; ++r) dst[r] = LoadU16(p + 2 * r);
-      return WirePackedBytes(n, 16);
-    case 8:
-      for (int r = 0; r < n; ++r) {
-        dst[r] = static_cast<Value>(static_cast<unsigned char>(p[r]));
-      }
-      return WirePackedBytes(n, 8);
-    default: {
-      const int per_byte = 8 / bits;
-      const Value mask = static_cast<Value>((1 << bits) - 1);
-      for (int r = 0; r < n; ++r) {
-        unsigned char byte = static_cast<unsigned char>(p[r / per_byte]);
-        dst[r] = static_cast<Value>((byte >> ((r % per_byte) * bits)) & mask);
-      }
-      return WirePackedBytes(n, bits);
-    }
-  }
 }
 
 }  // namespace privbayes

@@ -7,9 +7,10 @@
 //     and by the SAMPLEB column-name header;
 //   * binary frames — u32 little-endian payload length followed by the
 //     payload, whose first byte is a frame type. The SAMPLEB row stream is
-//     a schema frame, then row frames (u16 row count + columns packed at
-//     the same minimal power-of-two bit widths ColumnStore uses), closed by
-//     exactly one end frame (success) or error frame (in-band abort).
+//     a schema frame, then row frames (u16 row count + each column packed
+//     by data/packed_codec.h at its PackedLog2Bits width — the codec and
+//     widths of the ColumnStore's own slices), closed by exactly one end
+//     frame (success) or error frame (in-band abort).
 //
 // All reads and writes retry on EINTR: a signal delivered to a session or
 // client thread must never be mistaken for a dead peer.
@@ -31,8 +32,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-
-#include "prob/prob_table.h"
 
 namespace privbayes {
 
@@ -199,28 +198,13 @@ WireIoStatus ReadWireExactTimeout(int fd, WireBuffer& buf, void* dst,
 /// and interrupted writes). Returns false when the peer is gone.
 bool WriteWireBytes(int fd, const char* data, size_t len);
 
-/// Little-endian scalar append / load for frame encoding.
+/// Little-endian scalar append / store / load for frame encoding.
 void AppendU16(std::string& out, uint16_t v);
 void AppendU32(std::string& out, uint32_t v);
+void StoreU16(char* p, uint16_t v);
+void StoreU32(char* p, uint32_t v);
 uint16_t LoadU16(const char* p);
 uint32_t LoadU32(const char* p);
-
-/// Bits per packed value for a column of the given cardinality: the minimal
-/// power-of-two width (1/2/4/8/16) — identical to ColumnStore's packing, so
-/// a wire frame costs the same bytes per value as the in-memory snapshot.
-int WirePackedBits(int cardinality);
-
-/// Packed byte size of `num_values` values at `bits` per value.
-size_t WirePackedBytes(int num_values, int bits);
-
-/// Appends `n` values packed at `bits` per value to `out`. Values are laid
-/// out LSB-first within each byte (bits ∈ {1,2,4}); 8- and 16-bit values are
-/// byte-aligned (16-bit little-endian).
-void PackWireColumn(const Value* values, int n, int bits, std::string& out);
-
-/// Decodes `n` values packed at `bits` per value from `p` into `dst`;
-/// returns the number of bytes consumed (WirePackedBytes(n, bits)).
-size_t UnpackWireColumn(const char* p, int n, int bits, Value* dst);
 
 }  // namespace privbayes
 

@@ -29,8 +29,10 @@
 #include "core/inference.h"
 #include "core/model_io.h"
 #include "core/privbayes.h"
+#include "data/column_store.h"
 #include "data/generators.h"
 #include "data/marginal_store.h"
+#include "data/packed_codec.h"
 #include "serve/client.h"
 #include "serve/model_registry.h"
 #include "serve/query_service.h"
@@ -202,30 +204,117 @@ TEST(Wire, WriteRetriesAfterEintr) {
   ::close(sv[1]);
 }
 
+// Packs `values` through the shared codec into a buffer pre-filled with
+// 0xAA plus one guard byte, so a byte the codec fails to write, or one it
+// writes past the end, shows up in the result.
+std::string PackColumn(const std::vector<Value>& values, uint32_t log2_bits) {
+  const size_t bytes = PackedBytes(values.size(), log2_bits);
+  std::string out(bytes + 1, '\xAA');
+  PackValues(values.data(), values.size(), log2_bits,
+             reinterpret_cast<uint8_t*>(out.data()));
+  EXPECT_EQ(out.back(), '\xAA') << "codec wrote past PackedBytes";
+  out.pop_back();
+  return out;
+}
+
 TEST(Wire, PackedColumnRoundTripAllWidths) {
-  for (int card : {2, 3, 4, 5, 16, 17, 200, 256, 257, 40000}) {
-    const int bits = WirePackedBits(card);
-    std::vector<Value> values(1237);
-    for (size_t i = 0; i < values.size(); ++i) {
-      values[i] = static_cast<Value>((i * 2654435761u) % card);
+  for (int card : {2, 3, 4, 5, 16, 17, 200, 256, 257, 40000, 65536}) {
+    const uint32_t log2_bits = PackedLog2Bits(card);
+    for (size_t n : {0, 1, 7, 8, 9, 63, 64, 65, 1237, 65535}) {
+      std::vector<Value> values(n);
+      for (size_t i = 0; i < n; ++i) {
+        values[i] = static_cast<Value>((i * 2654435761u) % card);
+      }
+      const std::string packed = PackColumn(values, log2_bits);
+      ASSERT_EQ(packed.size(), PackedBytes(n, log2_bits));
+      std::vector<Value> back(n);
+      UnpackValues(reinterpret_cast<const uint8_t*>(packed.data()), n,
+                   log2_bits, back.data());
+      EXPECT_EQ(back, values) << "cardinality " << card << ", n " << n;
     }
-    std::string packed;
-    PackWireColumn(values.data(), static_cast<int>(values.size()), bits,
-                   packed);
-    ASSERT_EQ(packed.size(),
-              WirePackedBytes(static_cast<int>(values.size()), bits));
-    std::vector<Value> back(values.size());
-    EXPECT_EQ(UnpackWireColumn(packed.data(), static_cast<int>(values.size()),
-                               bits, back.data()),
-              packed.size());
-    EXPECT_EQ(back, values) << "cardinality " << card;
   }
-  EXPECT_EQ(WirePackedBits(2), 1);
-  EXPECT_EQ(WirePackedBits(3), 2);
-  EXPECT_EQ(WirePackedBits(16), 4);
-  EXPECT_EQ(WirePackedBits(17), 8);
-  EXPECT_EQ(WirePackedBits(257), 16);
-  EXPECT_EQ(WirePackedBits(65536), 16);
+  EXPECT_EQ(PackedLog2Bits(2), 0u);
+  EXPECT_EQ(PackedLog2Bits(3), 1u);
+  EXPECT_EQ(PackedLog2Bits(16), 2u);
+  EXPECT_EQ(PackedLog2Bits(17), 3u);
+  EXPECT_EQ(PackedLog2Bits(257), 4u);
+  EXPECT_EQ(PackedLog2Bits(65536), 4u);
+}
+
+// The exact bytes a row-frame column carries at every width, for n = 1 and
+// one value either side of a whole byte: LSB-first within a byte, 16-bit
+// values little-endian, zero tail bits. A layout both ends agree on would
+// still round-trip; these bytes are what deployed clients decode.
+TEST(Wire, PackedColumnGoldenBytes) {
+  static const unsigned kPattern[9] = {0xffff, 0x1234, 0xa5c3,
+                                       0x0f0f, 0x5a69, 0xc8e1,
+                                       0x3b7d, 0x9642, 0x6d1e};
+  struct Golden {
+    uint32_t bits;
+    size_t n;
+    std::string bytes;
+  };
+  const Golden goldens[] = {
+      {1, 1, "\x01"},  {1, 7, "\x7d"},         {1, 9, std::string("\x7d\x00", 2)},
+      {2, 1, "\x03"},  {2, 3, "\x33"},         {2, 5, "\xf3\x01"},
+      {4, 1, "\x0f"},  {4, 3, "\x4f\x03"},     {8, 0, ""},
+      {8, 1, "\xff"},  {8, 2, "\xff\x34"},     {16, 0, ""},
+      {16, 1, "\xff\xff"}, {16, 2, "\xff\xff\x34\x12"},
+  };
+  for (const Golden& g : goldens) {
+    const int card = 1 << g.bits;
+    std::vector<Value> values(g.n);
+    for (size_t i = 0; i < g.n; ++i) {
+      values[i] = static_cast<Value>(kPattern[i] & (card - 1));
+    }
+    const uint32_t log2_bits = PackedLog2Bits(card);
+    ASSERT_EQ(1u << log2_bits, g.bits);
+    EXPECT_EQ(PackColumn(values, log2_bits), g.bytes)
+        << g.bits << " bits, n " << g.n;
+  }
+}
+
+// A row frame's column bytes are the leading bytes of the heap store's
+// slice for that column, and the rest of the slice's last word is zero.
+TEST(Wire, RowFrameColumnsEqualHeapStoreSlices) {
+  const std::vector<int> cards = {2, 3, 16, 200, 40000};
+  constexpr size_t kRows = 1237;
+  std::vector<Attribute> attrs;
+  std::vector<std::vector<Value>> columns;
+  for (size_t c = 0; c < cards.size(); ++c) {
+    attrs.push_back(Attribute::Categorical("c" + std::to_string(c), cards[c]));
+    std::vector<Value> col(kRows);
+    for (size_t i = 0; i < kRows; ++i) {
+      col[i] = static_cast<Value>(((i + c) * 2654435761u >> 7) % cards[c]);
+    }
+    columns.push_back(std::move(col));
+  }
+  const Dataset d = Dataset::FromColumns(Schema(attrs), columns);
+
+  std::ostringstream out;
+  BinaryRowSink sink(out);
+  sink.Begin(d.schema());
+  sink.Chunk(d);
+  sink.End();
+  const std::string stream = out.str();
+  // Skip the schema frame; the next frame holds every row.
+  size_t at = 4 + LoadU32(stream.data());
+  ASSERT_EQ(stream[at + 4], static_cast<char>(kWireFrameRows));
+  ASSERT_EQ(LoadU16(stream.data() + at + 5), kRows);
+  at += 7;
+
+  std::shared_ptr<const ColumnStore> store = d.store();
+  for (int c = 0; c < d.num_attrs(); ++c) {
+    const PackedSlice slice = store->backend().Packed(c, 0);
+    const size_t bytes = PackedBytes(kRows, slice.log2_bits);
+    EXPECT_EQ(stream.substr(at, bytes),
+              std::string(reinterpret_cast<const char*>(slice.bytes()), bytes))
+        << "column " << c;
+    for (size_t b = bytes; b < slice.num_words * 8; ++b) {
+      EXPECT_EQ(slice.bytes()[b], 0) << "column " << c << " byte " << b;
+    }
+    at += bytes;
+  }
 }
 
 TEST(ModelRegistry, PutGetEraseNames) {
@@ -1768,7 +1857,7 @@ TEST(HostileStream, BinaryDecodePathBoundsEveryDeclaredLength) {
     std::string overrun;
     overrun.push_back(static_cast<char>(kWireFrameRows));
     AppendU16(overrun, 5);  // request asked for 4
-    overrun.append(WirePackedBytes(5, 1) * 2, '\0');
+    overrun.append(PackedBytes(5, 0) * 2, '\0');
     EXPECT_EQ(ScriptedCode(ok_header + schema + Frame(overrun), sampleb),
               ServeErrorCode::kProtocol);
   }
@@ -1777,7 +1866,7 @@ TEST(HostileStream, BinaryDecodePathBoundsEveryDeclaredLength) {
     std::string two_rows;
     two_rows.push_back(static_cast<char>(kWireFrameRows));
     AppendU16(two_rows, 2);
-    two_rows.append(WirePackedBytes(2, 1) * 2, '\0');
+    two_rows.append(PackedBytes(2, 0) * 2, '\0');
     const std::string end = Frame(std::string(1, kWireFrameEnd));
     EXPECT_EQ(
         ScriptedCode(ok_header + schema + Frame(two_rows) + end, sampleb),
@@ -1790,6 +1879,19 @@ TEST(HostileStream, BinaryDecodePathBoundsEveryDeclaredLength) {
     torn += "\x01x";
     EXPECT_EQ(ScriptedCode(ok_header + schema + torn, sampleb),
               ServeErrorCode::kConnectionLost);
+  }
+  // A row frame value outside its column's cardinality: four 2-bit 3s
+  // against cardinality 3.
+  {
+    std::string out_of_domain;
+    out_of_domain.push_back(static_cast<char>(kWireFrameRows));
+    AppendU16(out_of_domain, 4);
+    out_of_domain.push_back('\xFF');
+    const std::string end = Frame(std::string(1, kWireFrameEnd));
+    EXPECT_EQ(ScriptedCode("OK 4 1\nA\n" + Frame(SchemaFramePayload({3})) +
+                               Frame(out_of_domain) + end,
+                           sampleb),
+              ServeErrorCode::kProtocol);
   }
   // Error frame mid-stream maps its marker through the taxonomy.
   {
