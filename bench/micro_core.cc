@@ -12,6 +12,7 @@
 
 #include "bn/sampling.h"
 #include "common/cpu.h"
+#include "common/thread_pool.h"
 #include "core/noisy_conditionals.h"
 #include "data/marginal_store.h"
 #include "core/private_greedy.h"
@@ -268,8 +269,10 @@ void BM_SampleColumnar(benchmark::State& state, pb::SimdLevel level) {
   pb::SetSimdForTesting(level);
   const int rows = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sampler.SampleChunk(4, 0, rows, /*parallel=*/false));
+    // A one-index pool job: the shards inside it run inline on one thread.
+    pb::ThreadPool::Global().Run(1, 1, [&](size_t, size_t) {
+      benchmark::DoNotOptimize(sampler.SampleChunk(4, 0, rows));
+    });
   }
   pb::ResetSimdForTesting();
   state.SetItemsProcessed(state.iterations() * rows);
@@ -389,7 +392,7 @@ BENCHMARK(BM_LaplaceNoiseVector)->Arg(256)->Arg(65536);
 
 struct ServeFixture {
   pb::ModelRegistry registry;
-  pb::SamplingService service{&registry, /*max_parallel_batches=*/2};
+  pb::SamplingService service{&registry};
   pb::QueryService query{&registry};
 };
 

@@ -96,10 +96,8 @@ int main() {
               "new requests get ε=%.2f\n",
               in_flight->model().epsilon1 + in_flight->model().epsilon2,
               fresh->model().epsilon1 + fresh->model().epsilon2);
-  std::printf("Thread-pool admission: %llu batches pooled, %llu ran inline\n",
+  std::printf("Sampling service: %llu batches served\n",
               static_cast<unsigned long long>(
-                  sampling.admission().admitted_total()),
-              static_cast<unsigned long long>(
-                  sampling.admission().bypassed_total()));
+                  sampling.admission().admitted_total()));
   return 0;
 }

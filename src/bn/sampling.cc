@@ -211,7 +211,7 @@ Dataset NetworkSampler::Sample(int64_t num_rows, Rng& rng) const {
 }
 
 Dataset NetworkSampler::SampleChunk(uint64_t base_seed, int64_t first_shard,
-                                    int64_t num_rows, bool parallel) const {
+                                    int64_t num_rows) const {
   PB_THROW_IF(num_rows < 0, "negative row count");
   PB_THROW_IF(first_shard < 0, "negative shard index");
   SamplerMetrics& metrics = GetSamplerMetrics();
@@ -233,12 +233,8 @@ Dataset NetworkSampler::SampleChunk(uint64_t base_seed, int64_t first_shard,
       SampleShard(cols, row_begin, row_end, shard_seed);
     }
   };
-  if (parallel) {
-    ParallelFor(static_cast<size_t>(num_shards), sample_shards,
-                /*min_per_thread=*/1);
-  } else {
-    sample_shards(0, static_cast<size_t>(num_shards));
-  }
+  ParallelFor(static_cast<size_t>(num_shards), sample_shards,
+              /*min_per_thread=*/1);
   metrics.chunk_time->Record(MonotonicNowNs() - t0);
   metrics.rows->Add(static_cast<uint64_t>(num_rows));
   return Dataset::FromColumns(*schema_, std::move(columns));

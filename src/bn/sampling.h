@@ -87,14 +87,11 @@ class NetworkSampler {
   /// Samples `num_rows` rows starting at shard `first_shard` of the
   /// deterministic stream keyed by `base_seed`: row i of the result is row
   /// first_shard·kShardRows + i of the stream, bit-identical at any thread
-  /// count. Sample(n, rng) ≡ SampleChunk(rng.engine()(), 0, n). `parallel`
-  /// false runs the shards serially on the calling thread (same output) —
-  /// the serving layer's fallback when the thread pool is saturated. All
+  /// count. Sample(n, rng) ≡ SampleChunk(rng.engine()(), 0, n). All
   /// shard/row arithmetic is 64-bit, so chunks cut deep into a 100M+-row
   /// stream (first_shard · kShardRows far past 2^31) are safe.
   Dataset SampleChunk(uint64_t base_seed, int64_t first_shard,
-                      int64_t num_rows,
-                      bool parallel = true) const;
+                      int64_t num_rows) const;
 
   /// log2-likelihood of `data` under the model, probability-zero cells
   /// floored at `floor_prob`.

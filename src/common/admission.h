@@ -1,20 +1,16 @@
-// Admission control for the process-wide thread pool.
+// Overload shedding for sample batches.
 //
-// ThreadPool runs one blocked job at a time (outer Run callers serialize on
-// a mutex), so when many serving threads each try to fan a batch out across
-// the pool, they convoy: every batch waits its turn for ALL the workers
-// instead of proceeding on its own thread. An AdmissionGate caps how many
-// batches may be admitted to the pool at once; callers that miss the cap are
-// not queued — they are told to run their (deterministic, thread-count-
-// independent) work inline on their own thread. Under light load batches get
-// the whole pool; under saturation extra clients degrade to one thread each
-// instead of stacking up behind the pool mutex.
+// An AdmissionGate tracks every ACTIVE batch and can shed: with `max_active`
+// set, TryEnter refuses callers outright once that many batches are running
+// — the serving layer turns that refusal into an in-band RESOURCE_EXHAUSTED
+// reply instead of letting accepted work pile up without bound.
+// `max_active` = 0 never sheds.
 //
-// The gate also tracks every ACTIVE batch (admitted or inline) and can shed:
-// with `max_active` set, TryEnter refuses callers outright once that many
-// batches are running — the serving layer turns that refusal into an in-band
-// RESOURCE_EXHAUSTED reply instead of letting accepted work pile up without
-// bound. `max_active` = 0 never sheds (the pre-overload behavior).
+// The gate does not ration the thread pool: ThreadPool runs jobs from
+// several callers at once, so every batch fans its shards out through it.
+// admitted_total() counts the batches let in. bypassed_total() always reads
+// 0, since no batch runs inline; it stays because the end-to-end benchmark
+// (e2ebench/) reads it.
 
 #ifndef PRIVBAYES_COMMON_ADMISSION_H_
 #define PRIVBAYES_COMMON_ADMISSION_H_
@@ -27,46 +23,33 @@ namespace privbayes {
 
 class AdmissionGate {
  public:
-  /// At most `max_admitted` concurrent pool ticket holders; <= 0 admits
-  /// nobody (every caller runs inline — used to force serial serving in
-  /// tests). `max_active` caps TOTAL concurrent batches (admitted + inline);
-  /// 0 = unbounded (never shed).
-  explicit AdmissionGate(int max_admitted, int max_active = 0)
-      : max_admitted_(max_admitted), max_active_(max_active) {}
+  /// `max_active` caps concurrent batches; 0 = unbounded (never shed).
+  explicit AdmissionGate(int max_active = 0) : max_active_(max_active) {}
 
   AdmissionGate(const AdmissionGate&) = delete;
   AdmissionGate& operator=(const AdmissionGate&) = delete;
 
-  /// Returned by TryEnter; releases its slot(s) on destruction.
+  /// Returned by TryEnter; releases its slot on destruction.
   class Ticket {
    public:
-    Ticket(Ticket&& other) noexcept
-        : gate_(other.gate_), admitted_(other.admitted_) {
+    Ticket(Ticket&& other) noexcept : gate_(other.gate_) {
       other.gate_ = nullptr;
     }
     Ticket& operator=(Ticket&&) = delete;
     ~Ticket() {
       if (gate_ == nullptr) return;
-      if (admitted_) gate_->in_flight_.fetch_sub(1, std::memory_order_relaxed);
       gate_->active_.fetch_sub(1, std::memory_order_relaxed);
     }
 
-    /// True when the caller holds a pool slot and may run parallel.
-    bool admitted() const { return admitted_; }
-
    private:
     friend class AdmissionGate;
-    Ticket(AdmissionGate* gate, bool admitted)
-        : gate_(gate), admitted_(admitted) {}
+    explicit Ticket(AdmissionGate* gate) : gate_(gate) {}
     AdmissionGate* gate_;
-    bool admitted_;
   };
 
   /// Non-blocking. nullopt = shed (the active-batch cap is hit; the caller
-  /// must refuse the request, not queue it). Otherwise a ticket that is
-  /// either pool-admitted (run parallel) or not (run inline).
+  /// must refuse the request, not queue it).
   std::optional<Ticket> TryEnter() {
-    // Register as active first, bounded by max_active_.
     int active = active_.load(std::memory_order_relaxed);
     for (;;) {
       if (max_active_ > 0 && active >= max_active_) {
@@ -75,33 +58,22 @@ class AdmissionGate {
       }
       if (active_.compare_exchange_weak(active, active + 1,
                                         std::memory_order_relaxed)) {
-        break;
-      }
-    }
-    int current = in_flight_.load(std::memory_order_relaxed);
-    while (current < max_admitted_) {
-      if (in_flight_.compare_exchange_weak(current, current + 1,
-                                           std::memory_order_relaxed)) {
         admitted_total_.fetch_add(1, std::memory_order_relaxed);
-        return Ticket(this, true);
+        return Ticket(this);
       }
     }
-    bypassed_total_.fetch_add(1, std::memory_order_relaxed);
-    return Ticket(this, false);
   }
 
-  /// Pool-admitted batches currently running.
-  int in_flight() const { return in_flight_.load(std::memory_order_relaxed); }
-  /// ALL batches currently running (admitted + inline) — the health gauge;
-  /// zero when the serving layer is quiescent (no leaked slots).
+  /// Batches currently running — the health gauge; zero when the serving
+  /// layer is quiescent (no leaked slots).
   int active() const { return active_.load(std::memory_order_relaxed); }
 
+  /// Batches let in.
   uint64_t admitted_total() const {
     return admitted_total_.load(std::memory_order_relaxed);
   }
-  uint64_t bypassed_total() const {
-    return bypassed_total_.load(std::memory_order_relaxed);
-  }
+  /// Always 0: no batch runs inline any more.
+  uint64_t bypassed_total() const { return 0; }
   /// Callers refused outright by the active-batch cap.
   uint64_t shed_total() const {
     return shed_total_.load(std::memory_order_relaxed);
@@ -110,12 +82,9 @@ class AdmissionGate {
   int max_active() const { return max_active_; }
 
  private:
-  const int max_admitted_;
   const int max_active_;
-  std::atomic<int> in_flight_{0};
   std::atomic<int> active_{0};
   std::atomic<uint64_t> admitted_total_{0};
-  std::atomic<uint64_t> bypassed_total_{0};
   std::atomic<uint64_t> shed_total_{0};
 };
 

@@ -14,13 +14,13 @@ namespace {
 // pool, so per-server scoping would be meaningless. Pointers are cached
 // once; the instruments themselves are wait-free.
 struct PoolMetrics {
-  Gauge* waiters;       // callers holding or queued on run_mu_ (queue depth)
+  Gauge* waiters;       // callers with a job open on the pool
   Histogram* run_time;  // dispatched Run() wall time, ns (exposed as s)
 
   PoolMetrics() {
     MetricsRegistry& reg = MetricsRegistry::Global();
     waiters = reg.GetGauge("privbayes_pool_waiters", "",
-                           "Callers dispatching or queued for the pool");
+                           "Callers with a job running on the pool");
     run_time = reg.GetHistogram("privbayes_pool_run_seconds", "",
                                 "Dispatched ThreadPool::Run wall time",
                                 1e-9);
@@ -48,7 +48,7 @@ size_t DefaultWorkerCount() {
 
 }  // namespace
 
-ThreadPool::ThreadPool(size_t num_workers) {
+ThreadPool::ThreadPool(size_t num_workers) : num_threads_(num_workers + 1) {
   workers_.reserve(num_workers);
   for (size_t i = 0; i < num_workers; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
@@ -80,76 +80,97 @@ void ThreadPool::Run(size_t n, size_t chunk, RangeFn fn, void* ctx) {
   PoolMetrics& metrics = GetPoolMetrics();
   metrics.waiters->Add(1);
   const uint64_t t0 = MonotonicNowNs();
-  std::lock_guard<std::mutex> run_lock(run_mu_);
-  std::unique_lock<std::mutex> lock(mu_);
-  job_fn_ = fn;
-  job_ctx_ = ctx;
-  job_n_ = n;
-  job_chunk_ = std::max<size_t>(1, chunk);
-  cursor_.store(0, std::memory_order_relaxed);
-  busy_workers_ = workers_.size();
-  ++generation_;
-  lock.unlock();
-  work_cv_.notify_all();
+  Job job{fn, ctx, n, std::max<size_t>(1, chunk)};
+  size_t begin;
+  bool wake;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    Job** tail = &open_;
+    while (*tail != nullptr) tail = &(*tail)->next;
+    *tail = &job;
+    ++working_;
+    begin = job.cursor.fetch_add(job.chunk, std::memory_order_relaxed);
+    wake = WantsHelper();
+  }
+  if (wake) work_cv_.notify_one();
 
-  // The caller pulls chunks alongside the workers. It is inside a parallel
-  // region for the duration: a nested Run from fn must execute inline, not
-  // re-enter run_mu_ (held by this very thread).
-  struct RegionGuard {
-    ~RegionGuard() { t_in_parallel_region = false; }
-  } region_guard;
-  t_in_parallel_region = true;
-  for (;;) {
-    size_t begin = cursor_.fetch_add(job_chunk_, std::memory_order_relaxed);
-    if (begin >= n) break;
-    fn(ctx, begin, std::min(n, begin + job_chunk_));
+  // The caller works through its own job. It is inside a parallel region
+  // for the duration: a nested Run from fn executes inline.
+  {
+    struct RegionGuard {
+      ~RegionGuard() { t_in_parallel_region = false; }
+    } region_guard;
+    t_in_parallel_region = true;
+    Drain(job, begin);
   }
 
-  lock.lock();
-  done_cv_.wait(lock, [this] { return busy_workers_ == 0; });
-  job_fn_ = nullptr;
+  // No helper joins a job once it is off the list, so the caller waits only
+  // for the helpers already inside.
+  std::unique_lock<std::mutex> lock(mu_);
+  Close(&job);
+  --working_;
+  if (WantsHelper()) work_cv_.notify_one();
+  done_cv_.wait(lock, [&job] { return job.helpers == 0; });
   lock.unlock();
   metrics.run_time->Record(MonotonicNowNs() - t0);
   metrics.waiters->Add(-1);
+}
+
+void ThreadPool::Drain(Job& job, size_t begin) {
+  while (begin < job.n) {
+    job.fn(job.ctx, begin, std::min(job.n, begin + job.chunk));
+    begin = job.cursor.fetch_add(job.chunk, std::memory_order_relaxed);
+  }
+}
+
+void ThreadPool::Close(Job* job) {
+  Job** link = &open_;
+  while (*link != nullptr && *link != job) link = &(*link)->next;
+  if (*link != nullptr) *link = job->next;
+}
+
+bool ThreadPool::WantsHelper() const {
+  if (working_ >= num_threads()) return false;
+  for (const Job* job = open_; job != nullptr; job = job->next) {
+    if (job->cursor.load(std::memory_order_relaxed) < job->n) return true;
+  }
+  return false;
 }
 
 void ThreadPool::WorkerLoop(size_t worker_index) {
   // Spread workers round-robin across NUMA nodes (no-op when placement is
   // off or the machine has one node): each shard's counting pass then reads
   // from the node the interleaved packed pages mostly live on, instead of
-  // every worker hammering node 0's memory controller. The caller thread
-  // (worker index "last") stays unpinned — it also runs the serve loop.
+  // every worker hammering node 0's memory controller. Caller threads stay
+  // unpinned — one of them also runs the serve loop.
   if (NumaEnabled()) {
     PinCurrentThreadToNode(
         static_cast<int>(worker_index) % NumaTopo().num_nodes());
   }
   t_in_parallel_region = true;
-  uint64_t seen_generation = 0;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    RangeFn fn;
-    void* ctx;
-    size_t n, chunk;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] {
-        return shutdown_ || generation_ != seen_generation;
-      });
-      if (shutdown_) return;
-      seen_generation = generation_;
-      fn = job_fn_;
-      ctx = job_ctx_;
-      n = job_n_;
-      chunk = job_chunk_;
+    work_cv_.wait(lock, [this] { return shutdown_ || WantsHelper(); });
+    if (shutdown_) return;
+    // Join the oldest open job by claiming its next chunk. Run claims its
+    // first chunk the same way, so WantsHelper sees only unclaimed work.
+    Job* job = open_;
+    const size_t begin =
+        job->cursor.fetch_add(job->chunk, std::memory_order_relaxed);
+    if (begin >= job->n) {
+      Close(job);  // drained; the threads inside finish it
+      continue;
     }
-    for (;;) {
-      size_t begin = cursor_.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= n) break;
-      fn(ctx, begin, std::min(n, begin + chunk));
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--busy_workers_ == 0) done_cv_.notify_one();
-    }
+    ++job->helpers;
+    ++working_;
+    const bool wake = WantsHelper();
+    lock.unlock();
+    if (wake) work_cv_.notify_one();
+    Drain(*job, begin);
+    lock.lock();
+    Close(job);
+    --working_;
+    if (--job->helpers == 0) done_cv_.notify_all();
   }
 }
 

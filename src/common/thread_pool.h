@@ -9,11 +9,15 @@
 // call. Determinism: work is partitioned by index, never by scheduling, so
 // any result written at its own index is identical across thread counts.
 //
+// Several callers may run jobs at once. Each Run posts its job on a list
+// of open jobs and works through it; idle workers help the oldest open job
+// while fewer than num_threads() threads are working. Workers are woken one
+// at a time, each joining worker waking the next while work is unclaimed.
+//
 // Nested use is safe: a ParallelFor issued from inside another's body —
 // whether on a pool worker or on the caller thread participating in the
-// outer job — runs inline on that thread, so row-sharded counting can sit
-// underneath candidate-sharded scoring without oversubscription or
-// deadlock.
+// outer job — runs inline on that thread, so a nested call can never wait
+// on the pool it is running on.
 
 #ifndef PRIVBAYES_COMMON_THREAD_POOL_H_
 #define PRIVBAYES_COMMON_THREAD_POOL_H_
@@ -41,7 +45,7 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Worker threads plus the participating caller.
-  size_t num_threads() const { return workers_.size() + 1; }
+  size_t num_threads() const { return num_threads_; }
 
   /// The process-wide pool, sized to the hardware (respects
   /// PRIVBAYES_THREADS when set). Constructed on first use.
@@ -50,14 +54,14 @@ class ThreadPool {
   /// True when the calling thread is already executing parallel work — a
   /// pool worker's job body, or the caller thread while it participates in a
   /// Run it issued. Nested Run/ParallelFor calls check this and execute
-  /// inline, which both prevents oversubscription and keeps a nested call
-  /// from re-locking the pool's non-recursive job mutex (self-deadlock).
+  /// inline, which prevents oversubscription.
   static bool InParallelRegion();
 
   /// Runs fn(ctx, begin, end) over a blocked partition of [0, n): the range
   /// is cut into chunks of `chunk` indices claimed through an atomic cursor
-  /// by the workers and the calling thread. Blocks until all of [0, n) is
-  /// processed. `fn` must be safe to call concurrently on disjoint ranges.
+  /// by the calling thread and any workers that join. Blocks until all of
+  /// [0, n) is processed. `fn` must be safe to call concurrently on disjoint
+  /// ranges and must not throw. Safe to call from several threads at once.
   void Run(size_t n, size_t chunk, RangeFn fn, void* ctx);
 
   /// Typed Run: invokes fn(begin, end) without std::function indirection.
@@ -89,25 +93,35 @@ class ThreadPool {
   }
 
  private:
-  void WorkerLoop(size_t worker_index);
+  // One Run's job, on the caller's stack; `helpers` and `next` need mu_.
+  struct Job {
+    RangeFn fn;
+    void* ctx;
+    size_t n;
+    size_t chunk;
+    std::atomic<size_t> cursor{0};
+    size_t helpers = 0;  // workers inside the job
+    Job* next = nullptr;
+  };
 
+  void WorkerLoop(size_t worker_index);
+  // Runs the chunk at `begin`, then claims chunks until the job is drained.
+  static void Drain(Job& job, size_t begin);
+  // Takes `job` off the open list if it is still there (mu_ held).
+  void Close(Job* job);
+  // A thread is spare and an open job has an unclaimed chunk (mu_ held).
+  bool WantsHelper() const;
+
+  // Set before any worker starts: workers read it while workers_ grows.
+  const size_t num_threads_;
   std::vector<std::thread> workers_;
 
-  std::mutex run_mu_;  // serializes outer Run callers; one job at a time
-
   std::mutex mu_;
-  std::condition_variable work_cv_;   // workers wait here for a new job
-  std::condition_variable done_cv_;   // the caller waits here for completion
-  uint64_t generation_ = 0;           // bumped once per Run
+  std::condition_variable work_cv_;  // idle workers wait here for a job
+  std::condition_variable done_cv_;  // callers wait here for their helpers
+  Job* open_ = nullptr;              // open jobs, oldest first
+  size_t working_ = 0;               // callers and helpers inside a job
   bool shutdown_ = false;
-
-  // Current job (valid while busy_workers_ > 0 or cursor_ < job_n_).
-  RangeFn job_fn_ = nullptr;
-  void* job_ctx_ = nullptr;
-  size_t job_n_ = 0;
-  size_t job_chunk_ = 1;
-  std::atomic<size_t> cursor_{0};
-  size_t busy_workers_ = 0;
 };
 
 }  // namespace privbayes

@@ -8,11 +8,10 @@
 
 namespace privbayes {
 
-SamplingService::SamplingService(ModelRegistry* registry,
-                                 int max_parallel_batches, int chunk_rows,
+SamplingService::SamplingService(ModelRegistry* registry, int chunk_rows,
                                  int max_active_batches)
     : registry_(registry),
-      admission_(max_parallel_batches, max_active_batches),
+      admission_(max_active_batches),
       chunk_rows_(chunk_rows) {
   PB_THROW_IF(chunk_rows_ <= 0 ||
                   chunk_rows_ % NetworkSampler::kShardRows != 0,
@@ -75,7 +74,6 @@ ChunkedSampler::ChunkedSampler(const SamplingService* service,
         "); retry with backoff");
   }
   ticket_.emplace(std::move(*ticket));  // Ticket moves-constructs only
-  result_.pool_admitted = ticket_->admitted();
 }
 
 bool ChunkedSampler::Step(RowSink& sink) {
@@ -98,8 +96,8 @@ bool ChunkedSampler::Step(RowSink& sink) {
     const int64_t first_shard = row_ / NetworkSampler::kShardRows;
     const PrivBayesModel& model = handle_->model();
     StageTimer sample_timer(span_, Stage::kSample);
-    Dataset encoded = handle_->sampler().SampleChunk(
-        base_seed_, first_shard, rows_this, ticket_->admitted());
+    Dataset encoded =
+        handle_->sampler().SampleChunk(base_seed_, first_shard, rows_this);
     Dataset decoded = DecodeToOriginal(encoded, model.original_schema,
                                        model.encoding, model.encoder.get());
     Dataset projected = [&] {

@@ -14,11 +14,10 @@
 // reproducible and auditable: a client can re-request with the same seed
 // (or re-run locally against the archived model) and get the same table.
 //
-// Concurrency: requests on the shared ThreadPool are gated by an
-// AdmissionGate. Admitted batches fan their chunks out across the pool;
-// when the pool is already saturated by other batches, the request runs its
-// shards inline on the calling thread instead of convoying on the pool
-// mutex — same bits either way, only the schedule differs.
+// Concurrency: every batch fans its chunk's shards out through the shared
+// ThreadPool, which runs several callers' jobs at once; concurrent batches
+// share its threads instead of queueing for them. An AdmissionGate only
+// sheds batches beyond the active-batch cap.
 
 #ifndef PRIVBAYES_SERVE_SAMPLING_SERVICE_H_
 #define PRIVBAYES_SERVE_SAMPLING_SERVICE_H_
@@ -81,7 +80,6 @@ struct SampleRequest {
 struct SampleResult {
   int64_t rows = 0;
   int chunks = 0;
-  bool pool_admitted = false;  ///< false = ran inline (pool saturated)
 };
 
 class SamplingService;
@@ -137,13 +135,10 @@ class ChunkedSampler {
 
 class SamplingService {
  public:
-  /// `max_parallel_batches` bounds how many batches may use the shared
-  /// ThreadPool at once (see AdmissionGate); 0 forces every batch inline.
-  /// `max_active_batches` caps how many batches may be RUNNING at once
-  /// (pooled + inline): beyond it Sample throws ResourceExhausted instead of
-  /// degrading further — overload shedding. 0 = never shed.
+  /// `max_active_batches` caps how many batches may be RUNNING at once:
+  /// beyond it Sample throws ResourceExhausted — overload shedding. 0 =
+  /// never shed.
   explicit SamplingService(ModelRegistry* registry,
-                           int max_parallel_batches = 2,
                            int chunk_rows = kDefaultChunkRows,
                            int max_active_batches = 0);
 

@@ -46,6 +46,10 @@ constexpr uint64_t kFirstSessionToken = 2;
 /// thousands of SAMPLEBs cannot grow server memory with them.
 constexpr size_t kMaxPendingLines = 32;
 
+/// Threads running SAMPLEB/QUERY bodies; each batch's sampling fans out
+/// through the shared ThreadPool.
+constexpr int kRequestWorkers = 4;
+
 /// Compact the write queue once this much consumed prefix accumulates.
 constexpr size_t kCompactThreshold = size_t{1} << 20;
 
@@ -260,7 +264,9 @@ struct ServeServer::EventLoop {
 };
 
 // Fixed pool running request bodies (parse, admission, chunk pump) off the
-// event loops. Stop() drains the queue before joining: every queued task is
+// event loops. Bodies stay off the ThreadPool: one running on a pool worker
+// would sample inline (a nested parallel call), and a body can park on
+// backpressure. Stop() drains the queue before joining: every queued task is
 // a request body or a batch-abort, and aborts must run so admission tickets
 // release. Submit after Stop runs inline for the same reason.
 class ServeServer::WorkerPool {
@@ -323,16 +329,12 @@ class ServeServer::WorkerPool {
 ServeServer::ServeServer(ModelRegistry* registry, ServeServerOptions options)
     : registry_(registry),
       options_(std::move(options)),
-      sampling_(registry, options_.max_parallel_batches,
-                SamplingService::kDefaultChunkRows,
+      sampling_(registry, SamplingService::kDefaultChunkRows,
                 options_.max_active_batches),
       query_(registry) {
   // Resolve defaulted knobs once so every consumer sees concrete values.
   if (options_.event_loops <= 0) options_.event_loops = 2;
   if (options_.max_write_buffer == 0) options_.max_write_buffer = size_t{4} << 20;
-  if (options_.batch_workers <= 0) {
-    options_.batch_workers = std::max(4, options_.max_parallel_batches + 2);
-  }
 
   connections_total_ = metrics_.GetCounter(
       "privbayes_serve_connections_total", "", "Accepted connections");
@@ -393,13 +395,8 @@ ServeServer::ServeServer(ModelRegistry* registry, ServeServerOptions options)
       });
   metrics_.SetCallback(
       "privbayes_serve_pool_admitted_total", "",
-      "Batches admitted to the shared thread pool", true, [this] {
+      "Sample batches let in by the active-batch cap", true, [this] {
         return static_cast<double>(sampling_.admission().admitted_total());
-      });
-  metrics_.SetCallback(
-      "privbayes_serve_pool_inline_total", "",
-      "Batches run inline (pool saturated)", true, [this] {
-        return static_cast<double>(sampling_.admission().bypassed_total());
       });
   metrics_.SetCallback(
       "privbayes_serve_batch_shed_total", "",
@@ -529,7 +526,7 @@ void ServeServer::Start() {
 
   hard_stop_.store(false);
   stop_loops_.store(false);
-  workers_ = std::make_unique<WorkerPool>(options_.batch_workers);
+  workers_ = std::make_unique<WorkerPool>(kRequestWorkers);
 
   auto fail = [this](const std::string& what) {
     for (const std::unique_ptr<EventLoop>& loop : loops_) {

@@ -56,10 +56,11 @@
 // accepting (the listen socket is registered in every loop with
 // EPOLLEXCLUSIVE so the kernel spreads wakeups), incremental request-line
 // parsing out of per-session read buffers, and draining per-session write
-// queues on EPOLLOUT. SAMPLEB/QUERY bodies run on a separate small
-// worker pool (options.batch_workers) that never touches a socket: a batch
-// renders chunks into its session's bounded write queue
-// (options.max_write_buffer) and PARKS when the queue is full, resuming
+// queues on EPOLLOUT. SAMPLEB/QUERY bodies run on a separate fixed pool of
+// four worker threads that never touches a socket. Each batch fans its
+// shards out through the shared ThreadPool, which runs several batches'
+// jobs at once. A batch renders chunks into its session's bounded write
+// queue (options.max_write_buffer) and PARKS when the queue is full, resuming
 // when the event loop has drained it below half — true backpressure. A slow
 // consumer therefore stalls only its own batch; it never blocks a worker
 // thread and never grows server heap beyond the queue bound (plus one
@@ -124,8 +125,6 @@ struct ServeServerOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   int port = 0;
-  /// Batches that may use the shared thread pool concurrently.
-  int max_parallel_batches = 2;
   /// Upper bound on SAMPLEB row counts (one request is one TCP response).
   int64_t max_rows_per_request = int64_t{16} << 20;
   /// Wall-clock budget per SAMPLEB response, checked between chunks (and
@@ -158,10 +157,6 @@ struct ServeServerOptions {
   /// the loop drains the queue below half. The queue can overshoot by at
   /// most one rendered chunk. 0 picks the default (4 MiB).
   size_t max_write_buffer = 0;
-  /// Worker threads executing SAMPLEB/QUERY bodies (chunk sampling
-  /// still fans out through the shared ThreadPool under the AdmissionGate).
-  /// 0 picks the default: max(4, max_parallel_batches + 2).
-  int batch_workers = 0;
 };
 
 /// Point-in-time view of the server's request counters, read from its

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "bn/sampling.h"
 #include "common/cpu.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "core/privbayes.h"
 #include "data/generators.h"
 
@@ -230,7 +232,7 @@ TEST(SampleStream, GoldenRowPrefixIsPinned) {
   NetworkSampler sampler(m.schema, m.net, m.cs);
   for (SimdLevel level : AvailableLevels()) {
     ScopedSimd forced(level);
-    Dataset d = sampler.SampleChunk(0x5EEDULL, 0, 16, /*parallel=*/false);
+    Dataset d = sampler.SampleChunk(0x5EEDULL, 0, 16);
     for (int r = 0; r < 16; ++r) {
       EXPECT_EQ(d.at(r, 0), kX[r]) << "level=" << static_cast<int>(level);
       EXPECT_EQ(d.at(r, 1), kY[r]) << "level=" << static_cast<int>(level);
@@ -247,6 +249,17 @@ bool DatasetsEqual(const Dataset& a, const Dataset& b) {
     if (a.column(c) != b.column(c)) return false;
   }
   return true;
+}
+
+// SampleChunk issued from inside a one-index pool job: its shards run
+// inline on one thread, the schedule the pool falls back to when nested.
+Dataset SampleOnOneThread(const NetworkSampler& sampler, uint64_t base_seed,
+                          int64_t rows) {
+  std::optional<Dataset> out;
+  ThreadPool::Global().Run(1, 1, [&](size_t, size_t) {
+    out = sampler.SampleChunk(base_seed, 0, rows);
+  });
+  return std::move(*out);
 }
 
 PrivBayesModel FitSmall(const Dataset& data, uint64_t seed) {
@@ -278,12 +291,13 @@ TEST(SampleStream, BitIdenticalAcrossDispatchThreadsAndDatasets) {
                            model.conditionals);
     Dataset reference = [&] {
       ScopedSimd scalar(SimdLevel::kScalar);
-      return sampler.SampleChunk(0xC0FFEEULL, 0, kRows, /*parallel=*/false);
+      return SampleOnOneThread(sampler, 0xC0FFEEULL, kRows);
     }();
     for (SimdLevel level : AvailableLevels()) {
       ScopedSimd forced(level);
       for (bool parallel : {false, true}) {
-        Dataset got = sampler.SampleChunk(0xC0FFEEULL, 0, kRows, parallel);
+        Dataset got = parallel ? sampler.SampleChunk(0xC0FFEEULL, 0, kRows)
+                               : SampleOnOneThread(sampler, 0xC0FFEEULL, kRows);
         ASSERT_TRUE(DatasetsEqual(reference, got))
             << "level=" << static_cast<int>(level)
             << " parallel=" << parallel;
@@ -297,8 +311,9 @@ TEST(SampleStream, BitIdenticalAcrossDispatchThreadsAndDatasets) {
     std::vector<char> ok(16, false);
     for (int t = 0; t < 16; ++t) {
       callers.emplace_back([&, t] {
-        Dataset got = sampler.SampleChunk(0xC0FFEEULL, 0, kRows,
-                                          /*parallel=*/(t % 2) == 0);
+        Dataset got = (t % 2) == 0
+                          ? sampler.SampleChunk(0xC0FFEEULL, 0, kRows)
+                          : SampleOnOneThread(sampler, 0xC0FFEEULL, kRows);
         ok[t] = DatasetsEqual(reference, got);
       });
     }

@@ -366,31 +366,11 @@ TEST(SamplingService, MatchesSampleSyntheticDataAcrossChunking) {
   Dataset expected = SampleSyntheticData(
       ModelA(), static_cast<int>(request.num_rows), rng);
 
-  SamplingService chunked(&registry, /*max_parallel_batches=*/2,
+  SamplingService chunked(&registry,
                           /*chunk_rows=*/NetworkSampler::kShardRows);
   SamplingService one_shot(&registry);
   EXPECT_TRUE(SameData(chunked.SampleToDataset(request), expected));
   EXPECT_TRUE(SameData(one_shot.SampleToDataset(request), expected));
-}
-
-TEST(SamplingService, InlineFallbackSameBits) {
-  ModelRegistry registry;
-  registry.Put("m", ModelA());
-  SampleRequest request;
-  request.model = "m";
-  request.num_rows = 2 * NetworkSampler::kShardRows;
-  request.seed = 7;
-
-  SamplingService pooled(&registry, /*max_parallel_batches=*/2);
-  SamplingService inline_only(&registry, /*max_parallel_batches=*/0);
-
-  DatasetSink a, b;
-  EXPECT_TRUE(pooled.Sample(request, a).pool_admitted);
-  EXPECT_FALSE(inline_only.Sample(request, b).pool_admitted);
-  EXPECT_TRUE(SameData(a.dataset(), b.dataset()));
-  EXPECT_EQ(inline_only.admission().bypassed_total(), 1u);
-  EXPECT_EQ(pooled.admission().admitted_total(), 1u);
-  EXPECT_EQ(pooled.admission().in_flight(), 0);
 }
 
 TEST(SamplingService, Projection) {
@@ -431,7 +411,7 @@ TEST(SamplingService, ConcurrentDeterminismUnderHotSwap) {
   ModelRegistry registry;
   registry.Put("stable", ModelA());
   registry.Put("swapped", ModelA());
-  SamplingService service(&registry, /*max_parallel_batches=*/2,
+  SamplingService service(&registry,
                           /*chunk_rows=*/NetworkSampler::kShardRows);
 
   SampleRequest stable_request;
@@ -733,7 +713,7 @@ TEST(ServeServer, DeadlineExpiryAbortsInBandWithoutLeakingAdmission) {
   }
 
   // The aborted batch released its admission slot on unwind.
-  EXPECT_EQ(server.sampling().admission().in_flight(), 0);
+  EXPECT_EQ(server.sampling().admission().active(), 0);
 
   // The connection is still line-synchronized, and a single-chunk batch
   // finishes regardless of the tiny deadline.
@@ -1305,7 +1285,7 @@ TEST(ServeServer, WriteBackpressureStallsOnlySlowConsumer) {
     if (!freed) std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   ASSERT_TRUE(freed) << "parked batch leaked its admission slot";
-  EXPECT_EQ(server.sampling().admission().in_flight(), 0);
+  EXPECT_EQ(server.sampling().admission().active(), 0);
   probe.Quit();
   server.Stop();
 }
@@ -1341,7 +1321,7 @@ TEST(ServeServer, CancelAbortsMidStreamAndReleasesAdmission) {
 
   // The slot came back and the connection is reusable in-line.
   EXPECT_TRUE(RawPing(fd));
-  EXPECT_EQ(server.sampling().admission().in_flight(), 0);
+  EXPECT_EQ(server.sampling().admission().active(), 0);
 
   // A fresh request on the same connection streams to completion.
   const std::string small = "SAMPLEB m 100 2\n";
@@ -1657,7 +1637,6 @@ TEST(ServeServer, MetricsCoverEveryFormerStatsKey) {
       {"live_sessions", "privbayes_serve_live_sessions"},
       {"active_batches", "privbayes_serve_active_batches"},
       {"pool_admitted_total", "privbayes_serve_pool_admitted_total"},
-      {"pool_inline_total", "privbayes_serve_pool_inline_total"},
       {"batch_shed_total", "privbayes_serve_batch_shed_total"},
       {"marginal_cache_enabled", "privbayes_marginal_cache_enabled"},
       {"marginal_hits", "privbayes_marginal_hits_total"},
@@ -1668,10 +1647,12 @@ TEST(ServeServer, MetricsCoverEveryFormerStatsKey) {
       {"marginal_bytes", "privbayes_marginal_bytes"},
       {"marginal_byte_budget", "privbayes_marginal_byte_budget"},
   };
-  ASSERT_EQ(series.size(), 20u);
+  ASSERT_EQ(series.size(), 19u);
   for (const auto& [key, name] : series) {
     EXPECT_TRUE(PromValue(text, name).has_value()) << key << " -> " << name;
   }
+  // No batch runs inline, so there is no inline series.
+  EXPECT_FALSE(PromValue(text, "privbayes_serve_pool_inline_total"));
   auto value = [&](const char* name) {
     return PromValue(text, name).value_or(-1);
   };
@@ -1903,13 +1884,11 @@ TEST(HostileStream, BinaryDecodePathBoundsEveryDeclaredLength) {
 }
 
 TEST(AdmissionGate, ActiveCapShedsAndTicketsRelease) {
-  AdmissionGate gate(/*max_admitted=*/1, /*max_active=*/2);
+  AdmissionGate gate(/*max_active=*/2);
   std::optional<AdmissionGate::Ticket> a = gate.TryEnter();
   ASSERT_TRUE(a.has_value());
-  EXPECT_TRUE(a->admitted());  // pool slot
   std::optional<AdmissionGate::Ticket> b = gate.TryEnter();
   ASSERT_TRUE(b.has_value());
-  EXPECT_FALSE(b->admitted());  // inline, but active
   EXPECT_EQ(gate.active(), 2);
   EXPECT_FALSE(gate.TryEnter().has_value());  // over the active cap: shed
   EXPECT_EQ(gate.shed_total(), 1u);
@@ -1917,14 +1896,13 @@ TEST(AdmissionGate, ActiveCapShedsAndTicketsRelease) {
   b.reset();
   EXPECT_EQ(gate.active(), 1);
   std::optional<AdmissionGate::Ticket> c = gate.TryEnter();
-  ASSERT_TRUE(c.has_value());   // active capacity returned…
-  EXPECT_FALSE(c->admitted());  // …but `a` still holds the one pool slot
+  ASSERT_TRUE(c.has_value());  // the released slot is reusable
   a.reset();
   c.reset();
   EXPECT_EQ(gate.active(), 0);
-  EXPECT_EQ(gate.in_flight(), 0);
-  EXPECT_EQ(gate.admitted_total(), 1u);
-  EXPECT_EQ(gate.bypassed_total(), 2u);
+  EXPECT_EQ(gate.admitted_total(), 3u);
+  EXPECT_EQ(gate.bypassed_total(), 0u);  // no batch runs inline
+  EXPECT_EQ(gate.shed_total(), 1u);
 }
 
 // The acceptance soak: ≥1000 requests from 16 concurrent clients against a

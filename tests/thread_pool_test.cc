@@ -1,12 +1,15 @@
 // Tests for the persistent ThreadPool and the templated ParallelFor:
-// coverage (every index exactly once), determinism across runs, nested-call
-// inlining, and small-n fallback.
+// coverage (every index exactly once), determinism across runs and across
+// concurrent callers, concurrent jobs, nested-call inlining, and small-n
+// fallback.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.h"
@@ -51,20 +54,63 @@ TEST(ThreadPool, ReusableAcrossManyCalls) {
 }
 
 TEST(ThreadPool, IndexPartitionIsDeterministic) {
-  // Results written at their own index are identical across runs and across
-  // pools of different sizes.
-  auto run = [](ThreadPool& pool) {
+  // Results written at their own index are identical across runs, across
+  // pools of different sizes, and across callers sharing one pool.
+  auto run = [](ThreadPool& pool, uint64_t salt) {
     std::vector<uint64_t> out(5000);
     pool.ParallelFor(
         out.size(),
         [&](size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) out[i] = i * i + 1;
+          for (size_t i = begin; i < end; ++i) out[i] = i * i + salt;
         },
         /*min_per_thread=*/1);
     return out;
   };
   ThreadPool solo(0), four(4);
-  EXPECT_EQ(run(solo), run(four));
+  EXPECT_EQ(run(solo, 1), run(four, 1));
+
+  constexpr int kCallers = 4;
+  std::vector<std::vector<uint64_t>> expected, got(kCallers);
+  for (int c = 0; c < kCallers; ++c) expected.push_back(run(solo, c));
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < 50; ++round) {
+        got[c] = run(four, c);
+        if (got[c] != expected[c]) return;
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) EXPECT_EQ(got[c], expected[c]) << c;
+}
+
+TEST(ThreadPool, ConcurrentCallersRunTogether) {
+  // Two outer callers each run a job on one pool. Index 0 of each job waits
+  // until the other job has started, so the jobs finish only if the pool
+  // runs them at the same time. The wait is bounded: a pool that ran one
+  // job at a time fails here instead of hanging.
+  ThreadPool pool(3);
+  std::atomic<bool> started[2] = {false, false};
+  std::atomic<bool> saw_other[2] = {false, false};
+  auto job = [&](int self) {
+    pool.Run(8, 1, [&, self](size_t begin, size_t) {
+      started[self].store(true);
+      if (begin != 0) return;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!started[1 - self].load() &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      saw_other[self].store(started[1 - self].load());
+    });
+  };
+  std::thread a(job, 0), b(job, 1);
+  a.join();
+  b.join();
+  EXPECT_TRUE(saw_other[0].load());
+  EXPECT_TRUE(saw_other[1].load());
 }
 
 TEST(ThreadPool, NestedParallelForRunsInline) {
@@ -93,9 +139,9 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
 }
 
 TEST(ThreadPool, NestedFromParticipatingCallerDoesNotDeadlock) {
-  // The caller thread pulls chunks of the outer job while holding the
-  // pool's job mutex; a nested call issued from one of those chunks must
-  // run inline instead of re-locking it (regression: self-deadlock).
+  // The caller thread pulls chunks of its own job; a nested call issued
+  // from one of those chunks must run inline instead of posting a job the
+  // caller would then wait on from inside its own (regression: deadlock).
   ThreadPool pool(3);
   std::atomic<int> inner{0};
   pool.ParallelFor(

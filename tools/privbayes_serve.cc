@@ -29,11 +29,13 @@
 
 #include <sys/resource.h>
 
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,12 +52,18 @@ namespace pb = privbayes;
 
 namespace {
 
+// Bounds for integer flags. Millisecond flags are added to steady_clock
+// time points in nanoseconds, so they stay below what that can hold.
+constexpr long long kMaxInt = std::numeric_limits<int>::max();
+constexpr long long kMaxBytes = std::numeric_limits<long long>::max();
+constexpr long long kMaxMillis = kMaxBytes / 1000000;
+
 volatile std::sig_atomic_t g_stop = 0;
 void OnSignal(int) { g_stop = 1; }
 
 [[noreturn]] void Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--host H] [--port P] [--max-parallel N]\n"
+               "usage: %s [--host H] [--port P]\n"
                "          [--deadline-ms MS] [--idle-timeout-ms MS]\n"
                "          [--max-sessions N] [--max-active-batches N]\n"
                "          [--event-loops N] [--max-write-buffer BYTES]\n"
@@ -67,6 +75,20 @@ void OnSignal(int) { g_stop = 1; }
                "[--manifest PATH]...\n",
                argv0);
   std::exit(2);
+}
+
+// A whole non-negative decimal integer no larger than `max`; anything else
+// (a sign, a suffix, an empty string, overflow) is a usage error.
+long long ParseCount(const std::string& text, long long max,
+                     const char* argv0) {
+  unsigned long long value = 0;
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc() || ptr != last ||
+      value > static_cast<unsigned long long>(max)) {
+    Usage(argv0);
+  }
+  return static_cast<long long>(value);
 }
 
 // One-line MarginalStore summary: refits and sweeps on a held dataset show
@@ -177,39 +199,39 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) Usage(argv[0]);
       return argv[++i];
     };
+    auto next_count = [&](long long max) {
+      return ParseCount(next(), max, argv[0]);
+    };
     if (arg == "--host") {
       options.host = next();
     } else if (arg == "--port") {
-      options.port = std::atoi(next().c_str());
-    } else if (arg == "--max-parallel") {
-      options.max_parallel_batches = std::atoi(next().c_str());
+      options.port = static_cast<int>(next_count(65535));
     } else if (arg == "--deadline-ms") {
       // Per-request streaming deadline (0 = none): a batch that has not
       // finished by then aborts with an in-band DEADLINE_EXCEEDED marker.
-      options.request_deadline = std::chrono::milliseconds(
-          std::atoll(next().c_str()));
+      options.request_deadline =
+          std::chrono::milliseconds(next_count(kMaxMillis));
     } else if (arg == "--idle-timeout-ms") {
       // Event-loop idle timer (0 = none): silent connections are dropped.
-      options.idle_timeout = std::chrono::milliseconds(
-          std::atoll(next().c_str()));
+      options.idle_timeout =
+          std::chrono::milliseconds(next_count(kMaxMillis));
     } else if (arg == "--max-sessions") {
       // Session cap (0 = unbounded): accepts beyond it are shed with a
       // RESOURCE_EXHAUSTED line instead of spawning a thread.
-      options.max_sessions = std::atoi(next().c_str());
+      options.max_sessions = static_cast<int>(next_count(kMaxInt));
     } else if (arg == "--max-active-batches") {
       // Running-batch cap (0 = never shed): SAMPLEB requests beyond it get
       // RESOURCE_EXHAUSTED and the client backs off.
-      options.max_active_batches = std::atoi(next().c_str());
+      options.max_active_batches = static_cast<int>(next_count(kMaxInt));
     } else if (arg == "--event-loops") {
       // epoll threads owning the session sockets (0 = default 2).
-      options.event_loops = std::atoi(next().c_str());
+      options.event_loops = static_cast<int>(next_count(kMaxInt));
     } else if (arg == "--max-write-buffer") {
       // Per-session write-queue bound in bytes (0 = default 4 MiB): batches
       // park on a full queue instead of buffering a slow consumer's stream.
-      options.max_write_buffer =
-          static_cast<size_t>(std::atoll(next().c_str()));
+      options.max_write_buffer = static_cast<size_t>(next_count(kMaxBytes));
     } else if (arg == "--drain-ms") {
-      drain_ms = std::atoll(next().c_str());
+      drain_ms = next_count(kMaxMillis);
     } else if (arg == "--log-level") {
       // debug/info/warn/error/off; PRIVBAYES_LOG_LEVEL is the env override,
       // the flag wins when both are given.
@@ -221,7 +243,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace-slow-ms") {
       // Requests slower than this emit one structured stage-timing line
       // (0 disables; unset falls back to PRIVBAYES_TRACE_SLOW_MS).
-      options.trace_slow_ms = std::atoll(next().c_str());
+      options.trace_slow_ms = next_count(kMaxMillis);
     } else if (arg == "--fit") {
       fits.push_back(SplitNameValue(next(), argv[0]));
     } else if (arg == "--load") {
