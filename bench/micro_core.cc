@@ -13,11 +13,13 @@
 #include "bn/sampling.h"
 #include "common/cpu.h"
 #include "common/thread_pool.h"
+#include "core/maximal_parent_sets.h"
 #include "core/noisy_conditionals.h"
 #include "data/marginal_store.h"
 #include "core/private_greedy.h"
 #include "core/privbayes.h"
 #include "core/score_functions.h"
+#include "core/theta_usefulness.h"
 #include "data/generators.h"
 #include "data/packed_file.h"
 #include "dp/mechanisms.h"
@@ -316,6 +318,46 @@ void BM_GreedyIteration(benchmark::State& state) {
       benchmark::Counter(total > 0 ? stats.hits / total : 0);
 }
 BENCHMARK(BM_GreedyIteration)->Arg(2)->Arg(3)->Unit(benchmark::kMillisecond);
+
+// Candidate enumeration alone (Algorithm 6 under τ, no data): the sequence
+// of bounded maximal-parent-set calls one general learn makes on the Adult
+// schema, with a seeded attribute order, the learner's per-attribute cap
+// (candidate cap 200), τ from θ-usefulness at ε2 = 0.56 and θ = 4, and the
+// default node budget. The argument is the row count n that sets τ; at
+// 20,000,000 rows part of the calls trip the budget and sample instead.
+// The same sequence is pinned bit for bit by
+// BoundedMps.GreedySequenceMatchesGolden.
+void BM_ParentSetEnumeration(benchmark::State& state) {
+  const pb::Schema& schema = Adult().schema();
+  const int d = schema.num_attrs();
+  const int64_t n = state.range(0);
+  size_t sets = 0;
+  for (auto _ : state) {
+    pb::Rng rng(20140614 + n);
+    std::vector<int> order(d);
+    for (int a = 0; a < d; ++a) order[a] = a;
+    rng.Shuffle(order);
+    for (int r = 1; r < d; ++r) {
+      std::vector<int> chosen(order.begin(), order.begin() + r);
+      const size_t per_attr_cap =
+          std::max<size_t>(16, 200 / static_cast<size_t>(d - r));
+      for (int i = r; i < d; ++i) {
+        const double tau = pb::ParentDomainCap(n, d, 0.56, 4.0,
+                                               schema.Cardinality(order[i]));
+        sets += pb::BoundedMaximalParentSets(schema, chosen, tau, true,
+                                             per_attr_cap, 200000, rng)
+                    .size();
+      }
+    }
+  }
+  state.counters["sets"] = benchmark::Counter(
+      static_cast<double>(sets), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ParentSetEnumeration)
+    ->Arg(45222)
+    ->Arg(250000)
+    ->Arg(20000000)
+    ->Unit(benchmark::kMillisecond);
 
 // --- cross-run marginal reuse (data/marginal_store.h) ----------------------
 // One ε sweep = four full general-domain PrivBayes fits (structure learn +

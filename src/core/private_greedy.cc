@@ -168,9 +168,18 @@ LearnedNetwork LearnNetworkGeneral(const Dataset& data,
   const Schema& schema = data.schema();
   bool binary_side = schema.AllBinary();
 
+  // With no cap the caller asked for exact enumeration: disable the node
+  // budget so the fallback sampler (which needs a cap) is never required.
+  const size_t node_budget =
+      options.candidate_cap == 0 ? 0 : options.mps_node_budget;
   BayesNet net = GreedyLoop(
       data, options, rng, acct, binary_side,
-      [&](const std::vector<int>& chosen, const std::vector<int>& remaining) {
+      // One enumerator per learn: every round extends the previous round's
+      // chosen set, so its memo serves the whole learn.
+      [&, mps = MaximalParentSetEnumerator(schema, /*use_taxonomies=*/true,
+                                           node_budget)](
+          const std::vector<int>& chosen,
+          const std::vector<int>& remaining) mutable {
         std::vector<APPair> candidates;
         // Spread the per-iteration cap across the remaining attributes so no
         // attribute is starved of parent-set candidates.
@@ -183,14 +192,8 @@ LearnedNetwork LearnNetworkGeneral(const Dataset& data,
           double tau =
               ParentDomainCap(data.num_rows(), d, options.epsilon2_plan,
                               options.theta, schema.Cardinality(x));
-          // With no cap the caller asked for exact enumeration: disable the
-          // node budget so the fallback sampler (which needs a cap) is never
-          // required.
-          size_t node_budget =
-              per_attr_cap == 0 ? 0 : options.mps_node_budget;
-          std::vector<std::vector<GenAttr>> tops = BoundedMaximalParentSets(
-              schema, chosen, tau, /*use_taxonomies=*/true, per_attr_cap,
-              node_budget, rng);
+          std::vector<std::vector<GenAttr>> tops =
+              mps.Bounded(chosen, tau, per_attr_cap, rng);
           if (tops.empty()) {
             candidates.push_back(APPair{x, {}});
           } else {

@@ -36,6 +36,13 @@ PrivBayesModel PrivBayes::Fit(const Dataset& data, Rng& rng) const {
   const int64_t n = enc.num_rows();
 
   model.used_binary_algorithm = model.encoded_schema.AllBinary();
+  // The general algorithm caps parent domains by τ from the planned ε2; at
+  // ε = 0 (both noiseless ablations) that cap is +∞, and every parent set
+  // would be the whole chosen set at full resolution.
+  PB_THROW_IF(!model.used_binary_algorithm && options_.epsilon <= 0,
+              "epsilon = 0 needs the binary algorithm: the general "
+              "algorithm derives its parent-domain cap from the planned "
+              "epsilon2, which is 0 here");
   ScoreKind score = options_.score.value_or(
       model.used_binary_algorithm ? ScoreKind::kF : ScoreKind::kR);
 

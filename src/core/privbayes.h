@@ -29,7 +29,9 @@ namespace privbayes {
 
 /// All user-visible knobs, with the paper's defaults.
 struct PrivBayesOptions {
-  /// Total privacy budget ε. Must be > 0 unless both ablation flags are set.
+  /// Total privacy budget ε. Must be > 0 unless both ablation flags are set;
+  /// even then Fit rejects ε = 0 on general domains, whose parent-domain cap
+  /// τ comes from the planned ε2.
   double epsilon = 1.0;
   /// Budget split: ε1 = β·ε for network learning (paper default 0.3, §6.4).
   double beta = 0.3;
@@ -50,7 +52,9 @@ struct PrivBayesOptions {
   size_t candidate_cap = 0;
   /// Frontier cap of the F dynamic program (0 = exact).
   size_t f_max_states = 8192;
-  /// Node budget for maximal-parent-set enumeration (general algorithm).
+  /// Node budget for maximal-parent-set enumeration (general algorithm): an
+  /// attribute whose recursion tree has more nodes gets sampled maximal
+  /// sets instead. Applies only with a candidate cap.
   size_t mps_node_budget = 200000;
   /// First network attribute; -1 = uniformly random (the paper's Line 2).
   int first_attr = -1;

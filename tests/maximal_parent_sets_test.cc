@@ -1,13 +1,17 @@
 // Tests for core/maximal_parent_sets: Algorithms 5/6 against brute-force
 // enumeration of maximal feasible (generalized) subsets, plus the bounded
-// fallback sampler's maximality guarantee.
+// fallback sampler's maximality guarantee, plus golden sequences that pin
+// the exact, subsampled and fallback branches bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 
 #include "core/maximal_parent_sets.h"
+#include "core/theta_usefulness.h"
+#include "data/generators.h"
 
 namespace privbayes {
 namespace {
@@ -220,6 +224,197 @@ TEST(BoundedMps, FallbackSamplerProducesMaximalFeasibleSets) {
     std::sort(set.begin(), set.end());
     EXPECT_TRUE(maximal.count(set))
         << "sampled set is not maximal";
+  }
+}
+
+// Size of Algorithm 6's recursion tree over v[0..m), counted the way the
+// node budget counts it: one per call, the tau < 1 and m = 0 leaves
+// included. Stops counting once it reaches `limit`.
+size_t NaiveTreeSize(const Schema& schema, const std::vector<int>& v, int m,
+                     double tau, size_t limit) {
+  size_t nodes = 0;
+  auto recurse = [&](auto&& self, int mm, double t) -> void {
+    if (nodes >= limit) return;
+    ++nodes;
+    if (t < 1 || mm == 0) return;
+    int x = v[mm - 1];
+    for (int level = 0; level < schema.attr(x).taxonomy.num_levels();
+         ++level) {
+      self(self, mm - 1, t / schema.CardinalityAt(x, level));
+    }
+    self(self, mm - 1, t);
+  };
+  recurse(recurse, m, tau);
+  return nodes;
+}
+
+// FNV-1a over every returned set, its size and its order.
+struct SetChecksum {
+  uint64_t hash = 1469598103934665603ull;
+  uint64_t sets = 0;
+  void Add(uint64_t word) {
+    hash ^= word;
+    hash *= 1099511628211ull;
+  }
+  void Add(const std::vector<std::vector<GenAttr>>& family) {
+    Add(family.size());
+    for (const std::vector<GenAttr>& set : family) {
+      Add(set.size());
+      for (const GenAttr& g : set) {
+        Add(static_cast<uint64_t>(g.attr));
+        Add(static_cast<uint64_t>(g.level));
+      }
+    }
+    sets += family.size();
+  }
+};
+
+// The enumeration sequence of a general learn on the hierarchical Adult
+// schema: a seeded attribute order, and in every round one bounded call per
+// remaining attribute with the learner's per-attribute cap (candidate cap
+// 200), τ from θ-usefulness at ε2 = 0.56, θ = 4, and the default node budget.
+// Tallies which branch each call takes by the naive tree size.
+struct BranchTally {
+  int exact = 0, subsampled = 0, fallback = 0;
+};
+
+SetChecksum GreedySequence(int64_t n, uint64_t seed, BranchTally* tally) {
+  const Schema schema = MakeAdult(1, 100).schema();
+  const int d = schema.num_attrs();
+  const size_t budget = 200000;
+  Rng rng(seed);
+  std::vector<int> order(d);
+  for (int a = 0; a < d; ++a) order[a] = a;
+  rng.Shuffle(order);
+  SetChecksum sum;
+  for (int r = 1; r < d; ++r) {
+    std::vector<int> chosen(order.begin(), order.begin() + r);
+    std::vector<int> remaining(order.begin() + r, order.end());
+    size_t per_attr_cap = std::max<size_t>(16, 200 / remaining.size());
+    for (int x : remaining) {
+      double tau = ParentDomainCap(n, d, 0.56, 4.0, schema.Cardinality(x));
+      if (tally != nullptr) {
+        if (NaiveTreeSize(schema, chosen, r, tau, budget + 1) > budget) {
+          ++tally->fallback;
+        } else if (MaximalParentSetsGenExact(schema, chosen, tau).size() >
+                   per_attr_cap) {
+          ++tally->subsampled;
+        } else {
+          ++tally->exact;
+        }
+      }
+      sum.Add(BoundedMaximalParentSets(schema, chosen, tau,
+                                       /*use_taxonomies=*/true, per_attr_cap,
+                                       budget, rng));
+    }
+  }
+  // Pins how much of the stream the sequence consumed.
+  sum.Add(rng.UniformInt(uint64_t{1} << 62));
+  return sum;
+}
+
+TEST(BoundedMps, GreedySequenceMatchesGolden) {
+  struct Golden {
+    int64_t n;
+    uint64_t sets, hash;
+  };
+  const Golden golden[] = {
+      {45222, 2151, 0x82057999bd6e286full},
+      {250000, 2362, 0x1ecaac2902356c0aull},
+      {20000000, 2016, 0x1c7c7f97f2bde0aaull},
+  };
+  BranchTally tally;
+  for (const Golden& g : golden) {
+    SetChecksum sum = GreedySequence(g.n, 20140614 + g.n, &tally);
+    EXPECT_EQ(sum.sets, g.sets) << "n " << g.n;
+    EXPECT_EQ(sum.hash, g.hash) << "n " << g.n;
+  }
+  // The sequences cover all three branches (153 exact, 142 subsampled and
+  // 20 fallback calls).
+  EXPECT_GT(tally.exact, 0);
+  EXPECT_GT(tally.subsampled, 0);
+  EXPECT_GT(tally.fallback, 0);
+}
+
+// The fallback trips exactly when the recursion tree has more than
+// `node_budget` nodes: a budget of T (the tree size) enumerates, T - 1
+// samples. An off-by-one in the node count fails one side.
+TEST(BoundedMps, NodeBudgetBoundaryIsExact) {
+  const Schema schema = MakeAdult(1, 100).schema();
+  const std::vector<int> v = {3, 0, 7, 5, 11, 2};
+  for (double tau : {40.0, 600.0, 9000.0}) {
+    const size_t tree = NaiveTreeSize(schema, v, static_cast<int>(v.size()),
+                                      tau, SIZE_MAX);
+    ASSERT_GT(tree, 1u);
+    const std::vector<std::vector<GenAttr>> exact =
+        MaximalParentSetsGenExact(schema, v, tau);
+    const size_t cap = exact.size() + 8;
+    Rng fallback_rng(5);
+    const std::vector<std::vector<GenAttr>> fallback =
+        BoundedMaximalParentSets(schema, v, tau, true, cap,
+                                 /*node_budget=*/1, fallback_rng);
+    ASSERT_NE(exact, fallback) << "tau " << tau;
+
+    Rng at_rng(5);
+    EXPECT_EQ(BoundedMaximalParentSets(schema, v, tau, true, cap, tree, at_rng),
+              exact)
+        << "tau " << tau << " budget " << tree;
+    Rng below_rng(5);
+    EXPECT_EQ(
+        BoundedMaximalParentSets(schema, v, tau, true, cap, tree - 1, below_rng),
+        fallback)
+        << "tau " << tau << " budget " << tree - 1;
+  }
+}
+
+// A learn queries one enumerator for the whole greedy sequence: every call
+// must return what a fresh enumerator returns, with the same Rng draws.
+TEST(MaximalParentSetEnumerator, OneEnumeratorPerLearnMatchesFreshCalls) {
+  const Schema schema = MakeAdult(1, 100).schema();
+  const int d = schema.num_attrs();
+  for (int64_t n : {45222, 250000, 20000000}) {
+    MaximalParentSetEnumerator shared(schema, /*use_taxonomies=*/true, 200000);
+    Rng shared_rng(n), fresh_rng(n);
+    std::vector<int> order(d);
+    for (int a = 0; a < d; ++a) order[a] = a;
+    shared_rng.Shuffle(order);
+    fresh_rng.Shuffle(order);
+    for (int r = 1; r < d; ++r) {
+      std::vector<int> chosen(order.begin(), order.begin() + r);
+      size_t per_attr_cap = std::max<size_t>(16, 200 / (d - r));
+      for (int i = r; i < d; ++i) {
+        double tau =
+            ParentDomainCap(n, d, 0.56, 4.0, schema.Cardinality(order[i]));
+        ASSERT_EQ(shared.Bounded(chosen, tau, per_attr_cap, shared_rng),
+                  BoundedMaximalParentSets(schema, chosen, tau, true,
+                                           per_attr_cap, 200000, fresh_rng))
+            << "n " << n << " round " << r << " attr " << order[i];
+      }
+    }
+    EXPECT_EQ(shared_rng.UniformInt(1 << 30), fresh_rng.UniformInt(1 << 30));
+  }
+}
+
+// The memo is keyed by prefix length, so a query whose V diverges from the
+// previous one after p entries must not reuse entries for m > p. Attribute
+// 14 (42 / 7 / 4 values) differs in cardinality from attribute 7 (16 / 8 /
+// 4 / 2), so stale entries would return other sets and other tree sizes.
+TEST(MaximalParentSetEnumerator, PrefixChangeDropsStaleEntries) {
+  const Schema schema = MakeAdult(1, 100).schema();
+  const std::vector<std::vector<int>> queries = {
+      {4, 7, 11}, {4, 14}, {4, 7, 11}, {4, 14, 2}};
+  for (double tau : {8.0, 60.0, 500.0}) {
+    MaximalParentSetEnumerator shared(schema, /*use_taxonomies=*/true,
+                                      /*node_budget=*/12);
+    for (const std::vector<int>& v : queries) {
+      EXPECT_EQ(shared.Exact(v, tau), MaximalParentSetsGenExact(schema, v, tau))
+          << "tau " << tau << " |v| " << v.size();
+      Rng shared_rng(9), fresh_rng(9);
+      EXPECT_EQ(shared.Bounded(v, tau, 3, shared_rng),
+                BoundedMaximalParentSets(schema, v, tau, true, 3, 12,
+                                         fresh_rng))
+          << "tau " << tau << " |v| " << v.size();
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
 #include "bn/greedy_bayes.h"
 #include "core/maximal_parent_sets.h"
@@ -204,6 +205,91 @@ TEST(PrivateGreedyGeneral, StructureRespectsTauAndBudget) {
         << "attribute " << p.attr;
   }
   learned.net.ValidateAgainst(schema);
+}
+
+// Golden networks for the general algorithm: Adult (hierarchical) at
+// ε = 0.8 (ε1 = 0.24, planned ε2 = 0.56), θ = 4, 200 candidates per round.
+// They pin the maximal-parent-set candidates (their order and the Rng draws
+// of subsampling and of the fallback sampler) through the EM picks.
+struct GoldenGenPair {
+  int attr;
+  std::vector<GenAttr> parents;
+};
+
+LearnedNetwork LearnGoldenGeneral(size_t mps_node_budget, uint64_t rng_seed) {
+  Dataset data = MakeAdult(3, 20000);
+  PrivateGreedyOptions opts;
+  opts.score = ScoreKind::kR;
+  opts.epsilon1 = 0.24;
+  opts.epsilon2_plan = 0.56;
+  opts.theta = 4.0;
+  opts.candidate_cap = 200;
+  opts.mps_node_budget = mps_node_budget;
+  Rng rng(rng_seed);
+  return LearnNetworkGeneral(data, opts, rng, nullptr);
+}
+
+void ExpectGoldenGeneral(const LearnedNetwork& learned,
+                         const std::vector<GoldenGenPair>& want) {
+  ASSERT_EQ(learned.net.size(), static_cast<int>(want.size()));
+  for (int i = 0; i < learned.net.size(); ++i) {
+    EXPECT_EQ(learned.net.pair(i).attr, want[i].attr) << "pair " << i;
+    EXPECT_EQ(learned.net.pair(i).parents, want[i].parents) << "pair " << i;
+  }
+}
+
+TEST(PrivateGreedyGeneral, GoldenNetworkScoreR) {
+  ExpectGoldenGeneral(LearnGoldenGeneral(200000, 31),
+                      {{13, {}},
+                       {12, {{13, 2}}},
+                       {6, {{12, 3}, {13, 3}}},
+                       {10, {{6, 0}}},
+                       {3, {{6, 2}, {13, 3}}},
+                       {5, {{3, 0}}},
+                       {2, {{3, 1}}},
+                       {0, {{2, 1}, {6, 3}, {10, 1}, {12, 3}}},
+                       {1, {{0, 0}, {2, 1}, {3, 1}}},
+                       {14, {{1, 0}}},
+                       {4, {{10, 0}}},
+                       {11, {{10, 0}}},
+                       {7, {{1, 0}, {4, 3}}},
+                       {9, {{0, 0}, {3, 1}, {7, 3}}},
+                       {8, {{7, 3}, {12, 3}}}});
+}
+
+TEST(PrivateGreedyGeneral, GoldenNetworkScoreRFallback) {
+  // A 300-node budget sends the larger enumerations to the fallback
+  // sampler, which changes the network from the fifth pair on.
+  ExpectGoldenGeneral(LearnGoldenGeneral(300, 31),
+                      {{13, {}},
+                       {12, {{13, 2}}},
+                       {6, {{12, 3}, {13, 3}}},
+                       {10, {{6, 0}}},
+                       {11, {{10, 0}}},
+                       {5, {{10, 0}, {11, 3}}},
+                       {0, {{5, 0}, {11, 2}}},
+                       {3, {{5, 0}}},
+                       {2, {{0, 0}, {13, 3}}},
+                       {1, {{0, 0}, {2, 0}}},
+                       {9, {{13, 1}}},
+                       {4, {{10, 0}}},
+                       {7, {{4, 2}}},
+                       {8, {{1, 0}, {9, 1}}},
+                       {14, {{11, 3}}}});
+}
+
+// Two general learns running at once must return what they return one at a
+// time: the enumeration state belongs to a learn, not to the process.
+TEST(PrivateGreedyGeneral, ConcurrentLearnsMatchSerial) {
+  const LearnedNetwork serial_a = LearnGoldenGeneral(200000, 41);
+  const LearnedNetwork serial_b = LearnGoldenGeneral(300, 43);
+  LearnedNetwork a, b;
+  std::thread ta([&] { a = LearnGoldenGeneral(200000, 41); });
+  std::thread tb([&] { b = LearnGoldenGeneral(300, 43); });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(a.net.pairs(), serial_a.net.pairs());
+  EXPECT_EQ(b.net.pairs(), serial_b.net.pairs());
 }
 
 TEST(PrivateGreedyGeneral, RejectsScoreF) {

@@ -53,6 +53,41 @@ TEST(PrivBayesFit, SelectsGeneralAlgorithmOnMixedData) {
   EXPECT_EQ(model.degree_k, -1);
 }
 
+// ε = 0 with both noiseless ablations plans ε2 = 0, so θ-usefulness puts no
+// cap on general parent domains (τ = +∞) and every parent set would be the
+// whole chosen set at full resolution. Fit must refuse that before learning,
+// naming the cause, rather than fail inside counting. The binary algorithm
+// (k = d − 1) still fits at ε = 0.
+TEST(PrivBayesFit, ZeroEpsilonNoiselessGeneralRejectedUpFront) {
+  Dataset data = MakeDatasetByName("Adult", 20140614, 2000);
+  for (size_t cap : {size_t{0}, size_t{200}}) {
+    PrivBayesOptions opts;
+    opts.epsilon = 0;
+    opts.best_network = true;
+    opts.best_marginal = true;
+    opts.candidate_cap = cap;
+    PrivBayes pb(opts);
+    Rng rng(1);
+    try {
+      pb.Fit(data, rng);
+      ADD_FAILURE() << "Fit accepted epsilon = 0 on a general domain";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("general algorithm"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  PrivBayesOptions binary;
+  binary.epsilon = 0;
+  binary.best_network = true;
+  binary.best_marginal = true;
+  binary.fixed_k = 1;
+  binary.candidate_cap = 100;
+  Rng rng(2);
+  EXPECT_TRUE(PrivBayes(binary).Fit(MakeNltcs(3, 500), rng)
+                  .used_binary_algorithm);
+}
+
 TEST(PrivBayesFit, BinaryEncodingForcesBinaryAlgorithm) {
   Dataset data = MakeAdult(3, 800);
   PrivBayesOptions opts;
