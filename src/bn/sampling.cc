@@ -9,6 +9,7 @@
 #include "bn/sample_kernels.h"
 #include "common/check.h"
 #include "common/parallel.h"
+#include "data/packed_codec.h"
 #include "obs/metrics.h"
 
 namespace privbayes {
@@ -245,15 +246,17 @@ double NetworkSampler::LogLikelihood(const Dataset& data,
   PB_THROW_IF(data.num_attrs() != schema_->num_attrs(),
               "network/schema mismatch");
   const int64_t n = data.num_rows();
-  const int d = data.num_attrs();
-  // Pin Value columns through the store: they decode from the packed words
-  // into the generalized-column cache for the duration of this pass.
+  const size_t d = static_cast<size_t>(data.num_attrs());
+  // Each shard of each column is decoded from the store's packed slice into
+  // per-thread buffers, so the pass holds one shard per column per thread,
+  // never a whole column. A shard's first value starts on a byte boundary
+  // at every packed width because kShardRows is a multiple of 8.
+  static_assert(kShardRows % 8 == 0);
   std::shared_ptr<const ColumnStore> store = data.store();
-  std::vector<ColumnStore::PinnedColumn> pins(d);
-  std::vector<const Value*> cols(d);
-  for (int c = 0; c < d; ++c) {
-    pins[c] = store->PinColumn(c, 0);
-    cols[c] = pins[c].get();
+  const ColumnBackend& backend = store->backend();
+  std::vector<PackedSlice> packed(d);
+  for (size_t c = 0; c < d; ++c) {
+    packed[c] = backend.Packed(static_cast<int>(c), 0);
   }
 
   const int64_t num_shards = (n + kShardRows - 1) / kShardRows;
@@ -262,28 +265,40 @@ double NetworkSampler::LogLikelihood(const Dataset& data,
   ParallelFor(
       static_cast<size_t>(num_shards),
       [&](size_t begin, size_t end) {
+        thread_local std::vector<Value> shard;
+        thread_local std::vector<const Value*> cols;
         thread_local std::vector<uint32_t> slices;
         thread_local std::vector<double> acc;
+        shard.resize(d * kShardRows);
+        cols.resize(d);
+        slices.resize(kShardRows);
+        acc.resize(kShardRows);
         for (size_t s = begin; s < end; ++s) {
           const int64_t row_begin = static_cast<int64_t>(s) * kShardRows;
           const int64_t row_end = std::min<int64_t>(n, row_begin + kShardRows);
           const size_t rows = static_cast<size_t>(row_end - row_begin);
-          if (slices.size() < rows) slices.resize(rows);
-          if (acc.size() < rows) acc.resize(rows);
+          for (size_t c = 0; c < d; ++c) {
+            const PackedSlice& p = packed[c];
+            Value* out = shard.data() + c * kShardRows;
+            UnpackValues(
+                p.bytes() + (static_cast<size_t>(row_begin) << p.log2_bits) / 8,
+                rows, p.log2_bits, out);
+            cols[c] = out;
+          }
           std::fill_n(acc.begin(), rows, 0.0);
           // Column-at-a-time like the sampler, accumulating per row: slice
           // resolution is shared with SampleShard via ResolveSlices.
           for (const Node& node : nodes_) {
             const double* cells = node.table->values().data();
             const size_t card = static_cast<size_t>(node.child_card);
-            const Value* child = cols[node.attr] + row_begin;
+            const Value* child = cols[node.attr];
             if (node.parents.empty()) {
               for (size_t r = 0; r < rows; ++r) {
                 acc[r] += std::log2(std::max(cells[child[r]], floor_prob));
               }
             } else {
-              ResolveSlices(node, cols.data(), row_begin, row_end,
-                            slices.data());
+              ResolveSlices(node, cols.data(), 0,
+                            static_cast<int64_t>(rows), slices.data());
               for (size_t r = 0; r < rows; ++r) {
                 acc[r] += std::log2(std::max(
                     cells[static_cast<size_t>(slices[r]) * card + child[r]],
@@ -297,6 +312,11 @@ double NetworkSampler::LogLikelihood(const Dataset& data,
         }
       },
       /*min_per_thread=*/1);
+  // The pass is over: a mapped store's scanned slices may leave the
+  // resident set.
+  for (size_t c = 0; c < d; ++c) {
+    backend.ReleaseResidency(static_cast<int>(c), 0);
+  }
   // Summed in shard order: bit-identical across thread counts.
   double total = 0;
   for (double p : partial) total += p;

@@ -39,13 +39,17 @@ uint64_t BenchSeed() {
 
 bool FullFidelity() { return EnvFlag("PRIVBAYES_FULL"); }
 
-int64_t PeakRssKb() {
+namespace {
+
+// A "<field>:  <n> kB" line of /proc/self/status, in KiB; 0 when absent.
+int64_t ProcStatusKb(const std::string& field) {
   std::ifstream in("/proc/self/status");
   if (!in) return 0;
+  const std::string prefix = field + ":";
   std::string line;
   while (std::getline(in, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      std::istringstream fields(line.substr(6));
+    if (line.rfind(prefix, 0) == 0) {
+      std::istringstream fields(line.substr(prefix.size()));
       int64_t kb = 0;
       fields >> kb;
       return kb;
@@ -53,5 +57,11 @@ int64_t PeakRssKb() {
   }
   return 0;
 }
+
+}  // namespace
+
+int64_t PeakRssKb() { return ProcStatusKb("VmHWM"); }
+
+int64_t PeakVmKb() { return ProcStatusKb("VmPeak"); }
 
 }  // namespace privbayes

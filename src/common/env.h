@@ -41,6 +41,12 @@ bool FullFidelity();
 /// fraction of the packed file because pages are evictable page cache.
 int64_t PeakRssKb();
 
+/// Peak address space of this process in KiB (VmPeak from
+/// /proc/self/status), or 0 where unavailable. This is what `ulimit -v`
+/// caps: mappings and reserved malloc arenas count here whether or not
+/// their pages are resident.
+int64_t PeakVmKb();
+
 }  // namespace privbayes
 
 #endif  // PRIVBAYES_COMMON_ENV_H_

@@ -1,25 +1,16 @@
 #include "common/numa.h"
 
-#include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
 #ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#include <sys/syscall.h>
 #include <unistd.h>
 #endif
 
 namespace privbayes {
 
 namespace {
-
-// mbind(2) policy constant (numaif.h, which libnuma ships; we avoid the
-// dependency and pass the value straight to the raw syscall).
-constexpr int kMpolInterleave = 3;
 
 NumaTopology DiscoverTopology() {
   NumaTopology topo;
@@ -50,15 +41,6 @@ NumaTopology DiscoverTopology() {
   return topo;
 }
 
-// off / 0 -> -1, on / 1 -> +1, anything else (auto) -> 0.
-int NumaEnvMode() {
-  const char* env = std::getenv("PRIVBAYES_NUMA");
-  if (env == nullptr) return 0;
-  if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0) return -1;
-  if (std::strcmp(env, "on") == 0 || std::strcmp(env, "1") == 0) return 1;
-  return 0;
-}
-
 }  // namespace
 
 std::vector<int> ParseCpuList(const std::string& list) {
@@ -84,56 +66,6 @@ std::vector<int> ParseCpuList(const std::string& list) {
 const NumaTopology& NumaTopo() {
   static const NumaTopology* topo = new NumaTopology(DiscoverTopology());
   return *topo;
-}
-
-bool NumaEnabled() {
-  static const bool enabled = [] {
-    const int mode = NumaEnvMode();
-    if (mode < 0) return false;
-    if (mode > 0) return true;
-    return NumaTopo().num_nodes() > 1;
-  }();
-  return enabled;
-}
-
-bool PinCurrentThreadToNode(int node) {
-  if (!NumaEnabled()) return false;
-#ifdef __linux__
-  const NumaTopology& topo = NumaTopo();
-  const std::vector<int>& cpus =
-      topo.node_cpus[static_cast<size_t>(node) %
-                     static_cast<size_t>(topo.num_nodes())];
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  for (int c : cpus) {
-    if (c >= 0 && c < CPU_SETSIZE) CPU_SET(c, &set);
-  }
-  if (CPU_COUNT(&set) == 0) return false;
-  return ::pthread_setaffinity_np(::pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)node;
-  return false;
-#endif
-}
-
-bool InterleaveMemory(const void* addr, size_t len) {
-  if (!NumaEnabled() || len == 0) return false;
-#if defined(__linux__) && defined(SYS_mbind)
-  const int nodes = NumaTopo().num_nodes();
-  if (nodes < 2) return false;
-  unsigned long nodemask = 0;
-  for (int n = 0; n < nodes && n < 64; ++n) nodemask |= 1ul << n;
-  // mbind wants a page-aligned address; round down and extend.
-  const long page = ::sysconf(_SC_PAGESIZE);
-  const uintptr_t base = reinterpret_cast<uintptr_t>(addr);
-  const uintptr_t aligned = base & ~static_cast<uintptr_t>(page - 1);
-  len += base - aligned;
-  return ::syscall(SYS_mbind, aligned, len, kMpolInterleave, &nodemask,
-                   static_cast<unsigned long>(64), 0ul) == 0;
-#else
-  (void)addr;
-  return false;
-#endif
 }
 
 }  // namespace privbayes

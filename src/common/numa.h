@@ -1,31 +1,11 @@
-// NUMA topology discovery and best-effort page/thread placement.
-//
-// On a multi-socket machine the counting kernels are memory-bandwidth bound,
-// so where the packed words live relative to the thread reading them is
-// worth a socket's worth of bandwidth. This module provides the three
-// primitives the ThreadPool and the mmap column backend use:
-//
-//   * topology: NUMA nodes and their CPUs, read from
-//     /sys/devices/system/node (no libnuma dependency);
-//   * thread placement: pin a pool worker to one node's CPUs, so a shard's
-//     counting pass keeps reading from the node its pages live on;
-//   * page placement: interleave a mapping's pages across nodes via the raw
-//     mbind(2) syscall when the kernel exposes it, so no single node's
-//     memory controller serves every shard.
-//
-// Everything degrades to a graceful no-op: on single-node machines (or when
-// PRIVBAYES_NUMA=off), Enabled() is false, pinning and interleaving return
-// false, and behavior is byte-identical to a NUMA-oblivious build. Placement
-// never affects results — only which controller serves the bytes.
-//
-//   PRIVBAYES_NUMA = off|0  — disable all placement
-//                    on|1   — force placement even on one node (testing)
-//                    auto   — (default) place only when nodes > 1
+// NUMA topology discovery: the nodes of this machine and their CPUs, read
+// from /sys/devices/system/node (no libnuma dependency). Reported by the
+// end-to-end benchmark next to its measurements; the library places no
+// thread or page by node.
 
 #ifndef PRIVBAYES_COMMON_NUMA_H_
 #define PRIVBAYES_COMMON_NUMA_H_
 
-#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -40,21 +20,6 @@ struct NumaTopology {
 
 /// The process-wide topology (computed on first call; thread-safe).
 const NumaTopology& NumaTopo();
-
-/// True when placement is active: more than one node and PRIVBAYES_NUMA is
-/// not "off" (or PRIVBAYES_NUMA forces it on).
-bool NumaEnabled();
-
-/// Pins the calling thread to `node`'s CPUs (modulo the node count).
-/// Returns false (and changes nothing) when placement is disabled or the
-/// affinity call fails.
-bool PinCurrentThreadToNode(int node);
-
-/// Interleaves the pages of [addr, addr+len) across all nodes via mbind(2).
-/// Call before first touch (pages already resident are not migrated).
-/// Returns false when placement is disabled, the syscall is unavailable, or
-/// the kernel rejects it — the mapping still works, just unplaced.
-bool InterleaveMemory(const void* addr, size_t len);
 
 /// Parses a sysfs cpulist string ("0-3,8,10-11"); exposed for tests.
 std::vector<int> ParseCpuList(const std::string& list);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "common/numa.h"
 #include "obs/metrics.h"
 
 namespace privbayes {
@@ -51,7 +50,7 @@ size_t DefaultWorkerCount() {
 ThreadPool::ThreadPool(size_t num_workers) : num_threads_(num_workers + 1) {
   workers_.reserve(num_workers);
   for (size_t i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -137,16 +136,7 @@ bool ThreadPool::WantsHelper() const {
   return false;
 }
 
-void ThreadPool::WorkerLoop(size_t worker_index) {
-  // Spread workers round-robin across NUMA nodes (no-op when placement is
-  // off or the machine has one node): each shard's counting pass then reads
-  // from the node the interleaved packed pages mostly live on, instead of
-  // every worker hammering node 0's memory controller. Caller threads stay
-  // unpinned — one of them also runs the serve loop.
-  if (NumaEnabled()) {
-    PinCurrentThreadToNode(
-        static_cast<int>(worker_index) % NumaTopo().num_nodes());
-  }
+void ThreadPool::WorkerLoop() {
   t_in_parallel_region = true;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {

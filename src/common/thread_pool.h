@@ -6,8 +6,9 @@
 // workers once (the caller participates too) and hands them contiguous index
 // blocks through an atomic cursor — no work stealing, no std::function on the
 // hot path (calls go through a raw trampoline pointer), no allocation per
-// call. Determinism: work is partitioned by index, never by scheduling, so
-// any result written at its own index is identical across thread counts.
+// call. Workers are not pinned to CPUs or NUMA nodes; the OS places them.
+// Determinism: work is partitioned by index, never by scheduling, so any
+// result written at its own index is identical across thread counts.
 //
 // Several callers may run jobs at once. Each Run posts its job on a list
 // of open jobs and works through it; idle workers help the oldest open job
@@ -104,7 +105,7 @@ class ThreadPool {
     Job* next = nullptr;
   };
 
-  void WorkerLoop(size_t worker_index);
+  void WorkerLoop();
   // Runs the chunk at `begin`, then claims chunks until the job is drained.
   static void Drain(Job& job, size_t begin);
   // Takes `job` off the open list if it is still there (mu_ held).

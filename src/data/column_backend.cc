@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/numa.h"
 #include "data/packed_codec.h"
 
 namespace privbayes {
@@ -136,14 +135,12 @@ std::shared_ptr<const ColumnBackend> ColumnBackend::Open(
         std::to_string(size) + ")");
   }
 
-  // Counting streams each slice sequentially; tell the kernel, and spread
-  // the pages across NUMA nodes so every node's shards read mostly-local
-  // memory. Both are best-effort hints. Deliberately NOT MADV_WILLNEED:
-  // prefetching the whole file would make the entire mapping resident on an
-  // unpressured machine, defeating the point of the out-of-core store —
-  // pages fault in per scan and ReleaseResidency drops them afterwards.
+  // Counting streams each slice sequentially; tell the kernel (a
+  // best-effort hint). Deliberately NOT MADV_WILLNEED: prefetching the
+  // whole file would make the entire mapping resident on an unpressured
+  // machine, defeating the point of the out-of-core store — pages fault in
+  // per scan and ReleaseResidency drops them afterwards.
   ::madvise(map, size, MADV_SEQUENTIAL);
-  InterleaveMemory(map, size);
   for (int a = 0; a < backend->num_attrs(); ++a) {
     for (int l = 0; l < backend->schema().attr(a).taxonomy.num_levels();
          ++l) {

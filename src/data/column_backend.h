@@ -1,12 +1,12 @@
 // The packed words under a ColumnStore.
 //
 // The ColumnStore (data/column_store.h) is the layout/API front of the
-// counting engine: snapshot identity, kernel dispatch, and the
-// generalized-column cache. The bytes it counts live here, in exactly one
-// representation: every (attribute, taxonomy level) slice bit-packed by the
-// codec of data/packed_codec.h at the minimal power-of-two width its
-// cardinality needs (1/2/4/8/16 bits), in word regions at 64-byte offsets
-// with zeroed tail bits — the PBPACKED slice geometry of data/packed_file.h.
+// counting engine: snapshot identity and kernel dispatch. The bytes it
+// counts live here, in exactly one representation: every (attribute,
+// taxonomy level) slice bit-packed by the codec of data/packed_codec.h at
+// the minimal power-of-two width its cardinality needs (1/2/4/8/16 bits),
+// in word regions at 64-byte offsets with zeroed tail bits — the PBPACKED
+// slice geometry of data/packed_file.h.
 // The SAMPLEB wire packs its row-frame columns with the same codec, so a
 // slice's leading bytes are the wire bytes of that column. Only the
 // allocation source differs:
@@ -21,8 +21,8 @@
 //     over across processes mapping the same file.
 //
 // Every consumer reads the same geometry through the same decoder, which is
-// why the two sources are bit-identical for counting, pinning, sampling and
-// fitting — the property tests/packed_store_test.cc locks in.
+// why the two sources are bit-identical for counting, decoding, sampling
+// and fitting — the property tests/packed_store_test.cc locks in.
 
 #ifndef PRIVBAYES_DATA_COLUMN_BACKEND_H_
 #define PRIVBAYES_DATA_COLUMN_BACKEND_H_
@@ -65,8 +65,7 @@ class ColumnBackend {
   /// std::runtime_error on open or map failure, bad magic, unsupported
   /// version, a truncated file (the payload the header promises must fit in
   /// the file), or a payload value outside its slice's cardinality. The
-  /// mapping is advised for the counting access pattern and, on multi-node
-  /// machines, interleaved across NUMA nodes (common/numa.h; best-effort).
+  /// mapping is advised for the counting access pattern (best-effort).
   static std::shared_ptr<const ColumnBackend> Open(const std::string& path);
 
   ~ColumnBackend();

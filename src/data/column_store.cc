@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <map>
-#include <mutex>
 #include <utility>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/parallel.h"
 #include "data/count_kernels.h"
 
@@ -109,29 +106,6 @@ constexpr uint64_t kFileSnapshotBit = uint64_t{1} << 63;
 
 }  // namespace
 
-// On-demand Value-column decode cache behind PinColumn. Entries are
-// shared_ptr vectors handed out through PinColumn's aliasing handle, so an
-// entry evicted while pinned stays alive until its last pin drops — the
-// budget bounds what the CACHE retains, pins are the caller's to account.
-struct ColumnStore::GenCache {
-  struct Entry {
-    std::shared_ptr<std::vector<Value>> col;
-    uint64_t last_use = 0;
-  };
-
-  explicit GenCache(size_t budget_bytes) : budget(budget_bytes) {}
-
-  std::mutex mu;
-  std::map<std::pair<int, int>, Entry> entries;
-  size_t budget;
-  size_t bytes = 0;
-  uint64_t tick = 0;
-  uint64_t materializations = 0;
-  uint64_t evictions = 0;
-};
-
-ColumnStore::~ColumnStore() = default;
-
 ColumnStore::ColumnStore(const Schema& schema,
                          const std::vector<std::vector<Value>>& columns,
                          int64_t num_rows)
@@ -154,70 +128,6 @@ ColumnStore::ColumnStore(std::shared_ptr<const ColumnBackend> backend)
     cards_[a].resize(levels);
     for (int l = 0; l < levels; ++l) cards_[a][l] = tax.CardinalityAt(l);
   }
-  const int64_t budget = EnvInt("PRIVBAYES_GENCOL_BUDGET", 256 << 20);
-  gen_cache_ = std::make_unique<GenCache>(
-      budget > 0 ? static_cast<size_t>(budget) : 0);
-}
-
-ColumnStore::PinnedColumn ColumnStore::PinColumn(int attr, int level) const {
-  GenCache& cache = *gen_cache_;
-  const std::pair<int, int> key{attr, level};
-  std::unique_lock<std::mutex> lock(cache.mu);
-  auto it = cache.entries.find(key);
-  if (it == cache.entries.end()) {
-    // Decode outside the lock: a 100M-row column takes real time and other
-    // columns' pins shouldn't wait on it. Concurrent misses of the same key
-    // both decode (identical results); the second insert finds the first.
-    lock.unlock();
-    auto col = std::make_shared<std::vector<Value>>(
-        static_cast<size_t>(num_rows_));
-    const PackedSlice s = backend_->Packed(attr, level);
-    UnpackValues(s.bytes(), col->size(), s.log2_bits, col->data());
-    backend_->ReleaseResidency(attr, level);  // decoded copy supersedes pages
-    lock.lock();
-    it = cache.entries.find(key);
-    if (it == cache.entries.end()) {
-      ++cache.materializations;
-      cache.bytes += col->size() * sizeof(Value);
-      it = cache.entries.emplace(key, GenCache::Entry{std::move(col), 0})
-               .first;
-      // Evict least-recently-used unpinned entries past the budget (the
-      // entry just inserted is exempt: over-budget columns are still
-      // served, just not retained alongside others).
-      while (cache.bytes > cache.budget && cache.entries.size() > 1) {
-        auto victim = cache.entries.end();
-        for (auto e = cache.entries.begin(); e != cache.entries.end(); ++e) {
-          if (e->first == key || e->second.col.use_count() > 1) continue;
-          if (victim == cache.entries.end() ||
-              e->second.last_use < victim->second.last_use) {
-            victim = e;
-          }
-        }
-        if (victim == cache.entries.end()) break;  // everything pinned
-        cache.bytes -= victim->second.col->size() * sizeof(Value);
-        ++cache.evictions;
-        cache.entries.erase(victim);
-      }
-    }
-  }
-  it->second.last_use = ++cache.tick;
-  std::shared_ptr<std::vector<Value>> col = it->second.col;
-  return PinnedColumn(col, col->data());
-}
-
-size_t ColumnStore::gen_cache_bytes() const {
-  std::lock_guard<std::mutex> lock(gen_cache_->mu);
-  return gen_cache_->bytes;
-}
-
-uint64_t ColumnStore::gen_cache_materializations() const {
-  std::lock_guard<std::mutex> lock(gen_cache_->mu);
-  return gen_cache_->materializations;
-}
-
-uint64_t ColumnStore::gen_cache_evictions() const {
-  std::lock_guard<std::mutex> lock(gen_cache_->mu);
-  return gen_cache_->evictions;
 }
 
 void ColumnStore::AccumulateCounts(std::span<const GenAttr> gattrs,

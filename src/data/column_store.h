@@ -8,8 +8,8 @@
 //
 // A ColumnStore is an immutable snapshot of a dataset's columns packed
 // once and reused by every counting call. It is the LAYOUT/API front of the
-// engine — snapshot identity, kernel dispatch, and the generalized-column
-// cache — while the packed words live in a ColumnBackend
+// engine — snapshot identity and kernel dispatch — while the packed words
+// live in a ColumnBackend
 // (data/column_backend.h): owned heap words for datasets built in-process,
 // or a read-only mmap of a packed file (data/packed_file.h) for datasets
 // bigger than RAM. Both hold exactly the same packed slices, so every path
@@ -32,14 +32,12 @@
 //   * for large n the rows are sharded across the persistent ThreadPool in
 //     64-row units (so every shard and block starts word-aligned) with
 //     per-shard partial histograms merged in shard order, so counts are
-//     bit-identical across thread counts (and, with NUMA placement active,
-//     across node layouts).
+//     bit-identical across thread counts.
 //
-// Generalized-column cache: consumers that need a Value column —
-// LogLikelihood, the out-of-core bench's materialization — pin one via
-// PinColumn, which decodes it from the packed words on first use and keeps
-// decoded columns under a byte budget (PRIVBAYES_GENCOL_BUDGET, default
-// 256 MB), evicting least-recently-used unpinned columns past it.
+// Consumers that need Value columns (LogLikelihood, the out-of-core bench's
+// materialization) decode the slices they read with the codec
+// (data/packed_codec.h) into buffers of their own; the store keeps no
+// decoded copy.
 //
 // Every kernel produces exactly the counts of the seed's naive pass (integer
 // accumulation; no floating-point reordering). PRIVBAYES_SIMD=off forces the
@@ -73,8 +71,6 @@ class ColumnStore {
   /// carries over across processes mapping the same file.
   explicit ColumnStore(std::shared_ptr<const ColumnBackend> backend);
 
-  ~ColumnStore();  // defined where GenCache is complete
-
   int64_t num_rows() const { return num_rows_; }
 
   /// Process-unique identity of this snapshot. Heap snapshots draw from a
@@ -105,12 +101,6 @@ class ColumnStore {
     return 1 << backend_->Packed(attr, level).log2_bits;
   }
 
-  /// A pinned Value column of `attr` generalized to `level` (level 0 is the
-  /// raw column): the pointee stays valid while the handle lives. Decoded
-  /// from the packed words into the generalized-column cache.
-  using PinnedColumn = std::shared_ptr<const Value[]>;
-  PinnedColumn PinColumn(int attr, int level) const;
-
   /// Accumulates the empirical joint counts over `gattrs` into `cells`
   /// (row-major over the generalized cardinalities, last attribute stride 1;
   /// `cells` must be zero-filled by the caller and exactly the right size).
@@ -120,14 +110,7 @@ class ColumnStore {
   void AccumulateCounts(std::span<const GenAttr> gattrs,
                         std::span<double> cells) const;
 
-  /// Generalized-column cache observability.
-  size_t gen_cache_bytes() const;
-  uint64_t gen_cache_materializations() const;
-  uint64_t gen_cache_evictions() const;
-
  private:
-  struct GenCache;
-
   void CountPacked(std::span<const GenAttr> gattrs,
                    std::span<double> cells) const;
   void CountRadix(std::span<const GenAttr> gattrs,
@@ -138,7 +121,6 @@ class ColumnStore {
   std::shared_ptr<const ColumnBackend> backend_;
   std::vector<uint8_t> binary_;          // per attr: cardinality == 2
   std::vector<std::vector<int>> cards_;  // cards_[attr][level]
-  std::unique_ptr<GenCache> gen_cache_;  // PinColumn's decode cache
 };
 
 }  // namespace privbayes

@@ -110,7 +110,7 @@ Dataset Dataset::FromPackedFile(const std::string& path) {
 const std::vector<Value>& Dataset::column(int col) const {
   PB_THROW_IF(out_of_core_,
               "column(): raw columns are not resident in an out-of-core "
-              "dataset; use store()->PinColumn");
+              "dataset; decode store()'s packed slices with UnpackValues");
   return columns_[col];
 }
 

@@ -73,7 +73,8 @@ class Dataset {
   void Set(int64_t row, int col, Value v);
 
   /// Whole column (length num_rows()). Resident datasets only; out-of-core
-  /// consumers pin through store()->PinColumn instead.
+  /// consumers decode store()'s packed slices with UnpackValues
+  /// (data/packed_codec.h) instead.
   const std::vector<Value>& column(int col) const;
 
   /// Appends one row given values in schema order.

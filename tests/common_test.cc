@@ -1,4 +1,5 @@
-// Tests for common/: Rng determinism and distribution sanity, env knobs.
+// Tests for common/: Rng determinism and distribution sanity, env knobs,
+// strict flag parsing, /proc memory readers.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "common/env.h"
+#include "common/flags.h"
 #include "common/random.h"
 
 namespace privbayes {
@@ -164,6 +166,34 @@ TEST(Env, GarbageFallsBackToDefault) {
   ::setenv("PB_TEST_GARBAGE", "abc", 1);
   EXPECT_EQ(EnvInt("PB_TEST_GARBAGE", 5), 5);
   EXPECT_DOUBLE_EQ(EnvDouble("PB_TEST_GARBAGE", 1.5), 1.5);
+}
+
+TEST(Flags, ParseCountAcceptsOnlyWholeCountsUpToMax) {
+  EXPECT_EQ(ParseCount("12", 100), 12);
+  EXPECT_EQ(ParseCount("0", 100), 0);
+  EXPECT_EQ(ParseCount("65535", 65535), 65535);
+  for (const char* bad : {"12x", "-5", "", " 1", "+1", "abc", "1.5",
+                          "65536", "99999999999999999999999"}) {
+    EXPECT_FALSE(ParseCount(bad, 65535).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(Flags, ParseNonNegativeDoubleRejectsSuffixSignAndNonFinite) {
+  EXPECT_EQ(ParseNonNegativeDouble("0.8"), 0.8);
+  EXPECT_EQ(ParseNonNegativeDouble("1e-3"), 1e-3);
+  EXPECT_EQ(ParseNonNegativeDouble("0"), 0.0);
+  for (const char* bad : {"0.8abc", "-0.5", "-0", "", "abc", "inf", "nan",
+                          "1e999", " 1"}) {
+    EXPECT_FALSE(ParseNonNegativeDouble(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(Env, PeakMemoryReadersSeeThisProcess) {
+  // Address space always includes the resident set.
+  const int64_t rss = PeakRssKb();
+  const int64_t vm = PeakVmKb();
+  EXPECT_GT(rss, 0);
+  EXPECT_GE(vm, rss);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Source-equivalence tests for the packed storage layer: a ColumnStore over
 // an mmap of a packed file must be BIT-IDENTICAL to the heap store packed
-// from the same rows — for counting (every kernel dispatch level), for the
-// generalized-column cache, for sampling, and for a whole fit. Plus the
+// from the same rows — for counting (every kernel dispatch level), for
+// decoding every slice through the codec, for sampling, for the
+// log-likelihood pass, and for a whole fit. Plus the
 // error paths a versioned on-disk format owes its users: bad magic, newer
 // version, truncated header, truncated payload, out-of-domain payload.
 
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "common/cpu.h"
-#include "common/env.h"
 #include "common/numa.h"
 #include "common/random.h"
 #include "core/privbayes.h"
@@ -24,6 +24,7 @@
 #include "data/column_store.h"
 #include "data/dataset.h"
 #include "data/generators.h"
+#include "data/packed_codec.h"
 #include "data/packed_file.h"
 
 namespace privbayes {
@@ -53,6 +54,15 @@ void WritePacked(const Dataset& d, const std::string& path,
     writer.AppendRow(row);
   }
   writer.Finish();
+}
+
+// Decodes the whole (attr, level) slice of `store` through the codec.
+std::vector<Value> DecodeColumn(const ColumnStore& store, int attr,
+                                int level) {
+  const PackedSlice s = store.backend().Packed(attr, level);
+  std::vector<Value> out(static_cast<size_t>(store.num_rows()));
+  UnpackValues(s.bytes(), out.size(), s.log2_bits, out.data());
+  return out;
 }
 
 void ExpectIdenticalCounts(const Dataset& heap, const Dataset& mapped,
@@ -91,11 +101,11 @@ TEST(PackedStore, RoundTripPreservesEveryColumnAndLevel) {
     const TaxonomyTree& tax = d.schema().attr(a).taxonomy;
     ASSERT_EQ(mapped.schema().attr(a).name, d.schema().attr(a).name);
     for (int l = 0; l < tax.num_levels(); ++l) {
-      ColumnStore::PinnedColumn pin = store->PinColumn(a, l);
+      const std::vector<Value> column = DecodeColumn(*store, a, l);
       for (int64_t r = 0; r < d.num_rows(); ++r) {
         const Value expect =
             l == 0 ? d.at(r, a) : tax.Generalize(d.at(r, a), l);
-        ASSERT_EQ(pin[static_cast<size_t>(r)], expect)
+        ASSERT_EQ(column[static_cast<size_t>(r)], expect)
             << "attr " << a << " level " << l << " row " << r;
       }
     }
@@ -158,12 +168,38 @@ TEST(PackedStore, FitAndSampleBitIdenticalToHeap) {
           << "row " << r << " col " << c;
     }
   }
-  // LogLikelihood reads Value columns through PinColumn on both sources.
+  // LogLikelihood decodes Value columns through the codec on both sources.
   const double ll_heap = LogLikelihood(d, heap_model.network,
                                        heap_model.conditionals);
   const double ll_mapped = LogLikelihood(mapped, mapped_model.network,
                                          mapped_model.conditionals);
   EXPECT_DOUBLE_EQ(ll_heap, ll_mapped);
+}
+
+// LogLikelihood walks 8192-row shards. Three full shards and a 37-row tail
+// must sum to the same bits from the heap and the mapped store, and to the
+// golden. Empirical conditionals (best_marginal) keep Laplace noise out of
+// the golden.
+TEST(PackedStore, MultiShardLogLikelihoodMatchesGolden) {
+  constexpr int64_t kRows = 3 * NetworkSampler::kShardRows + 37;
+  Dataset d = MakeAdult(17, kRows);
+  TempPacked file("loglik.pbp");
+  WritePacked(d, file.path());
+  Dataset mapped = Dataset::FromPackedFile(file.path());
+
+  PrivBayesOptions options;
+  options.epsilon = 0.8;
+  options.candidate_cap = 50;
+  options.first_attr = 0;
+  options.best_marginal = true;
+  Rng rng(5);
+  const PrivBayesModel model = PrivBayes(options).Fit(d, rng);
+  const double ll_heap =
+      LogLikelihood(d, model.network, model.conditionals);
+  const double ll_mapped =
+      LogLikelihood(mapped, model.network, model.conditionals);
+  EXPECT_EQ(ll_heap, ll_mapped);
+  EXPECT_EQ(ll_heap, -0x1.10f47492b33e7p+20) << std::hexfloat << ll_heap;
 }
 
 TEST(PackedStore, SnapshotIdIsFileGenerationAndStableAcrossOpens) {
@@ -180,34 +216,6 @@ TEST(PackedStore, SnapshotIdIsFileGenerationAndStableAcrossOpens) {
   EXPECT_EQ(d.store()->snapshot_id() >> 63, 0u);
 }
 
-TEST(PackedStore, GenCacheEvictsUnderBudgetButServesPins) {
-  Dataset d = MakeAdult(3, 3000);
-  TempPacked file("cache.pbp");
-  WritePacked(d, file.path());
-
-  // Budget of one column: 3000 rows x 2 bytes = 6000 bytes.
-  setenv("PRIVBAYES_GENCOL_BUDGET", "6000", 1);
-  Dataset mapped = Dataset::FromPackedFile(file.path());
-  unsetenv("PRIVBAYES_GENCOL_BUDGET");
-  std::shared_ptr<const ColumnStore> store = mapped.store();
-
-  ColumnStore::PinnedColumn first = store->PinColumn(2, 0);
-  EXPECT_EQ(store->gen_cache_materializations(), 1u);
-  // A second column pushes past the budget; the first is pinned, so the
-  // cache keeps both alive but evicts once the pin drops.
-  ColumnStore::PinnedColumn second = store->PinColumn(3, 0);
-  EXPECT_EQ(store->gen_cache_materializations(), 2u);
-  // Pinned data stays valid regardless of eviction.
-  EXPECT_EQ(first[0], d.at(0, 2));
-  EXPECT_EQ(second[0], d.at(0, 3));
-  first.reset();
-  second.reset();
-  ColumnStore::PinnedColumn third = store->PinColumn(4, 0);
-  EXPECT_EQ(third[0], d.at(0, 4));
-  EXPECT_GE(store->gen_cache_evictions(), 1u);
-  EXPECT_LE(store->gen_cache_bytes(), 6000u * 2);  // entry granularity
-}
-
 TEST(PackedStore, HeapAndMappedPinsDecodeIdenticalColumns) {
   Dataset d = MakeAdult(9, 997);
   TempPacked file("pins.pbp");
@@ -218,20 +226,17 @@ TEST(PackedStore, HeapAndMappedPinsDecodeIdenticalColumns) {
   for (int a = 0; a < d.num_attrs(); ++a) {
     const TaxonomyTree& tax = d.schema().attr(a).taxonomy;
     for (int l = 0; l < tax.num_levels(); ++l) {
-      ColumnStore::PinnedColumn heap_pin = heap_store->PinColumn(a, l);
-      ColumnStore::PinnedColumn mapped_pin = mapped_store->PinColumn(a, l);
+      const std::vector<Value> heap_col = DecodeColumn(*heap_store, a, l);
+      const std::vector<Value> mapped_col =
+          DecodeColumn(*mapped_store, a, l);
       for (int64_t r = 0; r < d.num_rows(); ++r) {
         const size_t i = static_cast<size_t>(r);
-        ASSERT_EQ(heap_pin[i], mapped_pin[i])
+        ASSERT_EQ(heap_col[i], mapped_col[i])
             << "attr " << a << " level " << l << " row " << r;
-        ASSERT_EQ(heap_pin[i], tax.Generalize(d.at(r, a), l));
+        ASSERT_EQ(heap_col[i], tax.Generalize(d.at(r, a), l));
       }
     }
   }
-  // Both sources decode through the one generalized-column cache.
-  EXPECT_GT(heap_store->gen_cache_materializations(), 0u);
-  EXPECT_EQ(heap_store->gen_cache_materializations(),
-            mapped_store->gen_cache_materializations());
 }
 
 TEST(PackedStore, OutOfCoreGuardsThrowOnResidentOnlyOperations) {
@@ -379,17 +384,6 @@ TEST(Numa, TopologyHasAtLeastOneNodeWithCpus) {
   const NumaTopology& topo = NumaTopo();
   ASSERT_GE(topo.num_nodes(), 1);
   EXPECT_FALSE(topo.node_cpus[0].empty());
-}
-
-TEST(Numa, PlacementDegradesGracefully) {
-  // On a single-node machine (or PRIVBAYES_NUMA=off) these are no-ops that
-  // return false; on a multi-node machine they may succeed. Either way they
-  // must not crash and must not perturb results (covered by the equivalence
-  // tests above, which run regardless of placement).
-  std::vector<uint64_t> block(1024, 0);
-  InterleaveMemory(block.data(), block.size() * sizeof(uint64_t));
-  PinCurrentThreadToNode(0);
-  SUCCEED();
 }
 
 }  // namespace

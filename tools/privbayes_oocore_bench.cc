@@ -1,33 +1,38 @@
-// privbayes_oocore_bench: fit + sample a packed dataset and report peak RSS.
+// privbayes_oocore_bench: fit + sample a packed dataset and report peak
+// memory.
 //
-// The number this prints is the PR's headline claim: a fit over an
-// mmap-backed dataset keeps peak resident memory a small fraction of the raw
-// dataset size, because the packed pages are evictable page cache and raw
-// Value columns are never materialized (except transiently through the
-// bounded generalized-column cache). --mode memory runs the identical fit
-// after materializing the dataset in heap memory — the contrast the CI
-// out-of-core lane asserts on under a hard address-space cap.
+// The headline number is peak RSS: a fit over an mmap-backed dataset keeps
+// it a small fraction of the raw dataset size, because the packed pages are
+// evictable page cache and no raw Value column is ever materialized.
+// --mode memory runs the identical fit after decoding the dataset into heap
+// memory — the contrast the CI out-of-core lane asserts on under a hard
+// address-space cap.
 //
 //   privbayes_oocore_bench --packed FILE [--mode packed|memory]
 //                          [--epsilon E] [--sample-rows N] [--json]
 //
 // Output (one line per metric, or a JSON object with --json):
 //   rows, raw_bytes (rows x attrs x sizeof(Value)), fit_seconds,
-//   sample_seconds, sample_rows, peak_rss_kb, rss_fraction_of_raw
+//   sample_seconds, sample_rows, peak_rss_kb (VmHWM), vm_peak_kb (VmPeak,
+//   what `ulimit -v` caps), rss_fraction_of_raw
 
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/env.h"
+#include "common/flags.h"
 #include "common/random.h"
 #include "core/privbayes.h"
 #include "data/column_backend.h"
 #include "data/dataset.h"
+#include "data/packed_codec.h"
 
 namespace pb = privbayes;
 
@@ -47,16 +52,19 @@ double NowSeconds() {
   return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
-// Materializes the packed file into a resident heap dataset, column by
-// column through the pinned-column path (the memory-mode baseline).
+// Materializes the packed file into a resident heap dataset, decoding each
+// level-0 slice straight into its column (the memory-mode baseline).
 pb::Dataset MaterializeResident(const pb::Dataset& packed) {
   std::shared_ptr<const pb::ColumnStore> store = packed.store();
+  const pb::ColumnBackend& backend = store->backend();
   std::vector<std::vector<pb::Value>> columns(
       static_cast<size_t>(packed.num_attrs()));
   for (int c = 0; c < packed.num_attrs(); ++c) {
-    pb::ColumnStore::PinnedColumn pin = store->PinColumn(c, 0);
-    columns[static_cast<size_t>(c)].assign(
-        pin.get(), pin.get() + packed.num_rows());
+    const pb::PackedSlice s = backend.Packed(c, 0);
+    std::vector<pb::Value>& column = columns[static_cast<size_t>(c)];
+    column.resize(static_cast<size_t>(packed.num_rows()));
+    pb::UnpackValues(s.bytes(), column.size(), s.log2_bits, column.data());
+    backend.ReleaseResidency(c, 0);
   }
   return pb::Dataset::FromColumns(packed.schema(), std::move(columns));
 }
@@ -80,9 +88,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--mode") {
       mode = next();
     } else if (arg == "--epsilon") {
-      epsilon = std::atof(next().c_str());
+      const std::optional<double> value =
+          pb::ParseNonNegativeDouble(next());
+      if (!value) Usage(argv[0]);
+      epsilon = *value;
     } else if (arg == "--sample-rows") {
-      sample_rows = std::atoll(next().c_str());
+      const std::optional<long long> value =
+          pb::ParseCount(next(), std::numeric_limits<int64_t>::max());
+      if (!value) Usage(argv[0]);
+      sample_rows = *value;
     } else if (arg == "--json") {
       json = true;
     } else {
@@ -122,6 +136,7 @@ int main(int argc, char** argv) {
     if (synthetic.num_rows() != sample_rows) return 1;
 
     const int64_t peak_kb = pb::PeakRssKb();
+    const int64_t vm_peak_kb = pb::PeakVmKb();
     const double fraction =
         raw_bytes > 0 ? static_cast<double>(peak_kb) * 1024.0 / raw_bytes : 0;
     if (json) {
@@ -129,9 +144,10 @@ int main(int argc, char** argv) {
           "{\"mode\":\"%s\",\"rows\":%" PRId64
           ",\"raw_bytes\":%.0f,\"fit_seconds\":%.3f,"
           "\"sample_seconds\":%.3f,\"sample_rows\":%" PRId64
-          ",\"peak_rss_kb\":%" PRId64 ",\"rss_fraction_of_raw\":%.4f}\n",
+          ",\"peak_rss_kb\":%" PRId64 ",\"vm_peak_kb\":%" PRId64
+          ",\"rss_fraction_of_raw\":%.4f}\n",
           mode.c_str(), rows, raw_bytes, fit_seconds, sample_seconds,
-          sample_rows, peak_kb, fraction);
+          sample_rows, peak_kb, vm_peak_kb, fraction);
     } else {
       std::printf("mode                 %s\n", mode.c_str());
       std::printf("rows                 %" PRId64 "\n", rows);
@@ -140,6 +156,7 @@ int main(int argc, char** argv) {
       std::printf("sample_seconds       %.3f\n", sample_seconds);
       std::printf("sample_rows          %" PRId64 "\n", sample_rows);
       std::printf("peak_rss_kb          %" PRId64 "\n", peak_kb);
+      std::printf("vm_peak_kb           %" PRId64 "\n", vm_peak_kb);
       std::printf("rss_fraction_of_raw  %.4f\n", fraction);
     }
     return 0;

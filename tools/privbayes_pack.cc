@@ -27,10 +27,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/env.h"
+#include "common/flags.h"
 #include "common/random.h"
 #include "data/column_backend.h"
 #include "data/csv.h"
@@ -160,15 +163,16 @@ int PackCsv(const std::string& csv_path, const std::string& schema_name,
       return 1;
     }
     for (int c = 0; c < schema.num_attrs(); ++c) {
-      const long v = std::strtol(fields[static_cast<size_t>(c)].c_str(),
-                                 nullptr, 10);
-      if (v < 0 || v >= schema.Cardinality(c)) {
+      const std::string& field = fields[static_cast<size_t>(c)];
+      const std::optional<long long> v =
+          pb::ParseCount(field, schema.Cardinality(c) - 1);
+      if (!v) {
         std::fprintf(stderr,
-                     "line %" PRId64 ": value %ld out of domain for '%s'\n",
-                     line_no, v, schema.attr(c).name.c_str());
+                     "line %" PRId64 ": value '%s' out of domain for '%s'\n",
+                     line_no, field.c_str(), schema.attr(c).name.c_str());
         return 1;
       }
-      row[static_cast<size_t>(c)] = static_cast<pb::Value>(v);
+      row[static_cast<size_t>(c)] = static_cast<pb::Value>(*v);
     }
     writer.AppendRow(row);
   }
@@ -214,6 +218,12 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) Usage(argv[0]);
       return argv[++i];
     };
+    auto next_count = [&]() -> int64_t {
+      const std::optional<long long> value =
+          pb::ParseCount(next(), std::numeric_limits<int64_t>::max());
+      if (!value) Usage(argv[0]);
+      return *value;
+    };
     if (arg == "--dataset") {
       dataset = next();
     } else if (arg == "--csv") {
@@ -221,9 +231,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--schema-from") {
       schema_from = next();
     } else if (arg == "--rows") {
-      rows = std::atoll(next().c_str());
+      rows = next_count();
     } else if (arg == "--seed") {
-      seed = static_cast<uint64_t>(std::atoll(next().c_str()));
+      seed = static_cast<uint64_t>(next_count());
     } else if (arg == "--out") {
       out = next();
     } else if (arg == "--info") {

@@ -10,7 +10,8 @@
 //   --load NAME=PATH                   load a SaveModelFile archive
 //   --load-packed NAME=PATH[:eps]      mmap a packed dataset file
 //                                      (privbayes_pack) and fit it
-//                                      out-of-core — rows never resident
+//                                      out-of-core — rows never resident;
+//                                      text after the last ':' is ε
 //   --manifest PATH                    load every entry of a registry
 //                                      manifest (core/model_io.h)
 //
@@ -29,18 +30,19 @@
 
 #include <sys/resource.h>
 
-#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/env.h"
+#include "common/flags.h"
 #include "core/model_io.h"
 #include "core/privbayes.h"
 #include "data/generators.h"
@@ -78,17 +80,19 @@ void OnSignal(int) { g_stop = 1; }
 }
 
 // A whole non-negative decimal integer no larger than `max`; anything else
-// (a sign, a suffix, an empty string, overflow) is a usage error.
-long long ParseCount(const std::string& text, long long max,
-                     const char* argv0) {
-  unsigned long long value = 0;
-  const char* last = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), last, value);
-  if (ec != std::errc() || ptr != last ||
-      value > static_cast<unsigned long long>(max)) {
-    Usage(argv0);
-  }
-  return static_cast<long long>(value);
+// is a usage error.
+long long CountOrUsage(const std::string& text, long long max,
+                       const char* argv0) {
+  const std::optional<long long> value = pb::ParseCount(text, max);
+  if (!value) Usage(argv0);
+  return *value;
+}
+
+// A finite non-negative ε; anything else is a usage error.
+double EpsilonOrUsage(const std::string& text, const char* argv0) {
+  const std::optional<double> value = pb::ParseNonNegativeDouble(text);
+  if (!value) Usage(argv0);
+  return *value;
 }
 
 // One-line MarginalStore summary: refits and sweeps on a held dataset show
@@ -106,66 +110,86 @@ std::pair<std::string, std::string> SplitNameValue(const std::string& arg,
   return {arg.substr(0, eq), arg.substr(eq + 1)};
 }
 
-void FitAndRegister(pb::ModelRegistry& registry, const std::string& name,
-                    const std::string& spec, uint64_t seed) {
-  std::string dataset = spec;
+// One model to fit: a paper dataset (--fit) or a packed file
+// (--load-packed), with its row count (0 = all; --fit only) and ε.
+struct FitSpec {
+  std::string name;
+  std::string source;
   int rows = 0;
   double epsilon = 0.8;
-  size_t colon = dataset.find(':');
+};
+
+// NAME=DATASET[:rows[:eps]]; dies on malformed input.
+FitSpec ParseFitSpec(const std::string& arg, const char* argv0) {
+  auto [name, spec] = SplitNameValue(arg, argv0);
+  FitSpec fit{name, spec};
+  const size_t colon = spec.find(':');
   if (colon != std::string::npos) {
-    std::string rest = dataset.substr(colon + 1);
-    dataset = dataset.substr(0, colon);
-    size_t colon2 = rest.find(':');
+    fit.source = spec.substr(0, colon);
+    std::string rest = spec.substr(colon + 1);
+    const size_t colon2 = rest.find(':');
     if (colon2 != std::string::npos) {
-      epsilon = std::atof(rest.substr(colon2 + 1).c_str());
+      fit.epsilon = EpsilonOrUsage(rest.substr(colon2 + 1), argv0);
       rest = rest.substr(0, colon2);
     }
-    rows = std::atoi(rest.c_str());
+    fit.rows = static_cast<int>(CountOrUsage(rest, kMaxInt, argv0));
   }
-  PB_LOG(kInfo, "serve") << "fitting " << name << " on " << dataset << " ("
-                         << (rows > 0 ? std::to_string(rows) : "all")
-                         << " rows, eps=" << epsilon << ")...";
-  pb::Dataset data = pb::MakeDatasetByName(dataset, seed, rows);
+  return fit;
+}
+
+// NAME=PATH[:eps]; the last ':' starts ε. Dies on malformed input.
+FitSpec ParsePackedSpec(const std::string& arg, const char* argv0) {
+  auto [name, spec] = SplitNameValue(arg, argv0);
+  FitSpec fit{name, spec};
+  const size_t colon = spec.rfind(':');
+  if (colon != std::string::npos) {
+    fit.source = spec.substr(0, colon);
+    fit.epsilon = EpsilonOrUsage(spec.substr(colon + 1), argv0);
+    if (fit.source.empty()) Usage(argv0);
+  }
+  return fit;
+}
+
+// The served fit: ε from the spec, a privacy-neutral candidate cap of 200.
+pb::PrivBayesModel Fit(const pb::Dataset& data, const FitSpec& fit,
+                       uint64_t seed) {
   pb::PrivBayesOptions options;
-  options.epsilon = epsilon;
+  options.epsilon = fit.epsilon;
   options.candidate_cap = 200;
-  pb::PrivBayes privbayes(options);
   pb::Rng rng(seed);
-  registry.Put(name, privbayes.Fit(data, rng));
+  return pb::PrivBayes(options).Fit(data, rng);
+}
+
+void FitAndRegister(pb::ModelRegistry& registry, const FitSpec& fit,
+                    uint64_t seed) {
+  PB_LOG(kInfo, "serve") << "fitting " << fit.name << " on " << fit.source
+                         << " ("
+                         << (fit.rows > 0 ? std::to_string(fit.rows) : "all")
+                         << " rows, eps=" << fit.epsilon << ")...";
+  const pb::Dataset data = pb::MakeDatasetByName(fit.source, seed, fit.rows);
+  registry.Put(fit.name, Fit(data, fit, seed));
   LogMarginalStoreLine("after fit");
 }
 
-// PATH[:eps] — fit a packed dataset file out-of-core: the dataset is an
-// mmap of the file, counting reads the mapped packed words, and no raw
-// column is ever resident (beyond the bounded generalized-column cache).
-void FitPackedAndRegister(pb::ModelRegistry& registry, const std::string& name,
-                          const std::string& spec, uint64_t seed) {
-  std::string path = spec;
-  double epsilon = 0.8;
-  const size_t colon = path.rfind(':');
-  if (colon != std::string::npos && path.find('=', colon) == std::string::npos &&
-      colon > 1) {
-    const std::string tail = path.substr(colon + 1);
-    char* end = nullptr;
-    const double parsed = std::strtod(tail.c_str(), &end);
-    if (end != tail.c_str() && *end == '\0') {
-      epsilon = parsed;
-      path = path.substr(0, colon);
-    }
-  }
-  pb::Dataset data = pb::Dataset::FromPackedFile(path);
-  PB_LOG(kInfo, "serve") << "fitting " << name << " out-of-core from " << path
-                         << " (" << data.num_rows()
-                         << " rows, eps=" << epsilon << ")...";
-  pb::PrivBayesOptions options;
-  options.epsilon = epsilon;
-  options.candidate_cap = 200;
-  pb::PrivBayes privbayes(options);
-  pb::Rng rng(seed);
-  registry.Put(name, privbayes.Fit(data, rng));
+// Peak resident and peak address-space sizes, for the log.
+std::string PeakMemoryFields() {
+  return "peak_rss_kb=" + std::to_string(pb::PeakRssKb()) +
+         " vm_peak_kb=" + std::to_string(pb::PeakVmKb());
+}
+
+// Fits a packed dataset file out-of-core: the dataset is an mmap of the
+// file, counting reads the mapped packed words, and no raw column is ever
+// resident.
+void FitPackedAndRegister(pb::ModelRegistry& registry, const FitSpec& fit,
+                          uint64_t seed) {
+  const pb::Dataset data = pb::Dataset::FromPackedFile(fit.source);
+  PB_LOG(kInfo, "serve") << "fitting " << fit.name << " out-of-core from "
+                         << fit.source << " (" << data.num_rows()
+                         << " rows, eps=" << fit.epsilon << ")...";
+  registry.Put(fit.name, Fit(data, fit, seed));
   LogMarginalStoreLine("after packed fit");
-  PB_LOG(kInfo, "serve") << "peak_rss_kb=" << pb::PeakRssKb()
-                         << " after out-of-core fit of " << name;
+  PB_LOG(kInfo, "serve") << PeakMemoryFields() << " after out-of-core fit of "
+                         << fit.name;
 }
 
 // Raise the fd soft limit toward the hard limit: every session is one fd
@@ -188,9 +212,9 @@ int main(int argc, char** argv) {
   // finish before the server hard-stops them (rolling restarts lose no
   // accepted work).
   long long drain_ms = 5000;
-  std::vector<std::pair<std::string, std::string>> fits;   // name -> spec
+  std::vector<FitSpec> fits;
   std::vector<std::pair<std::string, std::string>> loads;  // name -> path
-  std::vector<std::pair<std::string, std::string>> packed;  // name -> spec
+  std::vector<FitSpec> packed;
   std::vector<std::string> manifests;
 
   for (int i = 1; i < argc; ++i) {
@@ -200,7 +224,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     auto next_count = [&](long long max) {
-      return ParseCount(next(), max, argv[0]);
+      return CountOrUsage(next(), max, argv[0]);
     };
     if (arg == "--host") {
       options.host = next();
@@ -245,11 +269,11 @@ int main(int argc, char** argv) {
       // (0 disables; unset falls back to PRIVBAYES_TRACE_SLOW_MS).
       options.trace_slow_ms = next_count(kMaxMillis);
     } else if (arg == "--fit") {
-      fits.push_back(SplitNameValue(next(), argv[0]));
+      fits.push_back(ParseFitSpec(next(), argv[0]));
     } else if (arg == "--load") {
       loads.push_back(SplitNameValue(next(), argv[0]));
     } else if (arg == "--load-packed") {
-      packed.push_back(SplitNameValue(next(), argv[0]));
+      packed.push_back(ParsePackedSpec(next(), argv[0]));
     } else if (arg == "--manifest") {
       manifests.push_back(next());
     } else {
@@ -259,7 +283,7 @@ int main(int argc, char** argv) {
   if (fits.empty() && loads.empty() && packed.empty() && manifests.empty()) {
     // A demo fleet: the same workflow as `--fit nltcs=NLTCS --fit
     // adult=Adult` but small enough to be up in seconds.
-    fits = {{"nltcs", "NLTCS:4000:0.8"}, {"adult", "Adult:4000:0.8"}};
+    fits = {{"nltcs", "NLTCS", 4000, 0.8}, {"adult", "Adult", 4000, 0.8}};
   }
 
   RaiseFdLimit();
@@ -267,15 +291,13 @@ int main(int argc, char** argv) {
   pb::ModelRegistry registry;
   try {
     uint64_t seed = 1;
-    for (const auto& [name, spec] : fits) {
-      FitAndRegister(registry, name, spec, seed++);
-    }
+    for (const FitSpec& fit : fits) FitAndRegister(registry, fit, seed++);
     for (const auto& [name, path] : loads) {
       PB_LOG(kInfo, "serve") << "loading " << name << " from " << path;
       registry.Put(name, pb::LoadModelFile(path));
     }
-    for (const auto& [name, spec] : packed) {
-      FitPackedAndRegister(registry, name, spec, seed++);
+    for (const FitSpec& fit : packed) {
+      FitPackedAndRegister(registry, fit, seed++);
     }
     for (const std::string& manifest : manifests) {
       for (const std::string& name : registry.LoadManifestFile(manifest)) {
@@ -313,6 +335,6 @@ int main(int argc, char** argv) {
                          << stats.shed_requests << " shed requests), "
                          << stats.rows_streamed << " rows streamed";
   LogMarginalStoreLine("at shutdown");
-  PB_LOG(kInfo, "serve") << "peak_rss_kb=" << pb::PeakRssKb();
+  PB_LOG(kInfo, "serve") << PeakMemoryFields();
   return 0;
 }

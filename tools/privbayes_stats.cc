@@ -14,9 +14,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 
+#include "common/flags.h"
 #include "serve/client.h"
 
 namespace pb = privbayes;
@@ -43,12 +46,19 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) Usage(argv[0]);
       return argv[++i];
     };
+    auto next_count = [&](long long max) {
+      const std::optional<long long> value = pb::ParseCount(next(), max);
+      if (!value) Usage(argv[0]);
+      return *value;
+    };
     if (arg == "--host") {
       host = next();
     } else if (arg == "--port") {
-      port = std::atoi(next().c_str());
+      port = static_cast<int>(next_count(65535));
     } else if (arg == "--watch-ms") {
-      watch_ms = std::atoll(next().c_str());
+      // Bounded like privbayes_serve's millisecond flags, so the sleep's
+      // nanosecond conversion cannot overflow.
+      watch_ms = next_count(std::numeric_limits<long long>::max() / 1000000);
     } else {
       Usage(argv[0]);
     }
