@@ -5,6 +5,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "bench_util/report.h"
 #include "common/env.h"
@@ -24,15 +26,16 @@ double EmpiricalSensitivity(pb::ScoreKind score, int trials, uint64_t seed) {
   for (int t = 0; t < trials; ++t) {
     pb::Schema s({pb::Attribute::Categorical("p", 3),
                   pb::Attribute::Binary("x")});
-    pb::Dataset d1(s, n);
+    std::vector<std::vector<pb::Value>> cols(2, std::vector<pb::Value>(n));
     for (int r = 0; r < n; ++r) {
-      d1.Set(r, 0, static_cast<pb::Value>(rng.UniformInt(3)));
-      d1.Set(r, 1, static_cast<pb::Value>(rng.UniformInt(2)));
+      cols[0][r] = static_cast<pb::Value>(rng.UniformInt(3));
+      cols[1][r] = static_cast<pb::Value>(rng.UniformInt(2));
     }
-    pb::Dataset d2 = d1;
+    pb::Dataset d1 = pb::Dataset::FromColumns(s, cols);
     int victim = static_cast<int>(rng.UniformInt(n));
-    d2.Set(victim, 0, static_cast<pb::Value>(rng.UniformInt(3)));
-    d2.Set(victim, 1, static_cast<pb::Value>(rng.UniformInt(2)));
+    cols[0][victim] = static_cast<pb::Value>(rng.UniformInt(3));
+    cols[1][victim] = static_cast<pb::Value>(rng.UniformInt(2));
+    pb::Dataset d2 = pb::Dataset::FromColumns(s, std::move(cols));
     std::vector<int> attrs = {0, 1};
     double s1 = pb::ComputeScore(score, d1.JointCounts(attrs), n);
     double s2 = pb::ComputeScore(score, d2.JointCounts(attrs), n);

@@ -2,26 +2,32 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
+
+#include "common/check.h"
+#include "common/flags.h"
 
 namespace privbayes {
 
 int64_t EnvInt(const std::string& name, int64_t def) {
   const char* v = std::getenv(name.c_str());
   if (v == nullptr || *v == '\0') return def;
-  char* end = nullptr;
-  long long parsed = std::strtoll(v, &end, 10);
-  if (end == v) return def;
-  return parsed;
+  const std::optional<long long> parsed =
+      ParseCount(v, std::numeric_limits<int64_t>::max());
+  PB_THROW_IF(!parsed, name << "='" << v
+                            << "' is not a whole non-negative integer");
+  return *parsed;
 }
 
 double EnvDouble(const std::string& name, double def) {
   const char* v = std::getenv(name.c_str());
   if (v == nullptr || *v == '\0') return def;
-  char* end = nullptr;
-  double parsed = std::strtod(v, &end);
-  if (end == v) return def;
-  return parsed;
+  const std::optional<double> parsed = ParseNonNegativeDouble(v);
+  PB_THROW_IF(!parsed, name << "='" << v
+                            << "' is not a finite non-negative number");
+  return *parsed;
 }
 
 bool EnvFlag(const std::string& name) {

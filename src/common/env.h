@@ -17,10 +17,14 @@
 
 namespace privbayes {
 
-/// Reads an integer environment variable, returning `def` when unset/invalid.
+/// Reads a whole non-negative integer environment variable (common/flags.h
+/// ParseCount). Returns `def` when the variable is unset or empty; throws
+/// std::invalid_argument naming the variable and its text on anything else
+/// ("12x", "-1", " 3"), so a typo never runs silently on the default.
 int64_t EnvInt(const std::string& name, int64_t def);
 
-/// Reads a floating-point environment variable.
+/// Reads a finite non-negative number from the environment, with EnvInt's
+/// rules: `def` when unset or empty, std::invalid_argument when malformed.
 double EnvDouble(const std::string& name, double def);
 
 /// True when the variable is set to a non-empty, non-"0" value.

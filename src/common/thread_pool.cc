@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/check.h"
+#include "common/env.h"
 #include "obs/metrics.h"
 
 namespace privbayes {
@@ -36,14 +38,9 @@ PoolMetrics& GetPoolMetrics() {
 // a thread must run inline.
 thread_local bool t_in_parallel_region = false;
 
-size_t DefaultWorkerCount() {
-  if (const char* env = std::getenv("PRIVBAYES_THREADS")) {
-    long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<size_t>(v) - 1;
-  }
-  size_t hw = std::max<size_t>(1, std::thread::hardware_concurrency());
-  return hw - 1;
-}
+// PRIVBAYES_THREADS counts the caller too, so it must be at least 1; the
+// upper bound only rejects values no host could mean.
+constexpr int64_t kMaxThreads = 1024;
 
 }  // namespace
 
@@ -63,8 +60,21 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
+size_t ThreadPool::ThreadCountFromEnv() {
+  // EnvInt never returns a negative count, so -1 can only mean "unset".
+  const int64_t threads = EnvInt("PRIVBAYES_THREADS", -1);
+  if (threads == -1) {
+    return std::max<size_t>(1, std::thread::hardware_concurrency());
+  }
+  PB_THROW_IF(threads < 1 || threads > kMaxThreads,
+              "PRIVBAYES_THREADS='" << std::getenv("PRIVBAYES_THREADS")
+                                    << "' is not a thread count in [1, "
+                                    << kMaxThreads << "]");
+  return static_cast<size_t>(threads);
+}
+
 ThreadPool& ThreadPool::Global() {
-  static ThreadPool* pool = new ThreadPool(DefaultWorkerCount());
+  static ThreadPool* pool = new ThreadPool(ThreadCountFromEnv() - 1);
   return *pool;
 }
 

@@ -48,9 +48,15 @@ class ThreadPool {
   /// Worker threads plus the participating caller.
   size_t num_threads() const { return num_threads_; }
 
-  /// The process-wide pool, sized to the hardware (respects
-  /// PRIVBAYES_THREADS when set). Constructed on first use.
+  /// The process-wide pool, sized by ThreadCountFromEnv(). Constructed on
+  /// first use.
   static ThreadPool& Global();
+
+  /// Threads Global() runs with, the caller included: PRIVBAYES_THREADS, a
+  /// whole count in [1, 1024], or the hardware concurrency when it is unset
+  /// or empty. Throws std::invalid_argument naming the variable on any other
+  /// text ("4x", "0", "-1").
+  static size_t ThreadCountFromEnv();
 
   /// True when the calling thread is already executing parallel work — a
   /// pool worker's job body, or the caller thread while it participates in a

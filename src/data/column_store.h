@@ -74,9 +74,9 @@ class ColumnStore {
   int64_t num_rows() const { return num_rows_; }
 
   /// Process-unique identity of this snapshot. Heap snapshots draw from a
-  /// process-global counter, assigned at construction and never reused:
-  /// Dataset copies share the snapshot (same id); any mutation invalidates
-  /// it, so the next build gets a fresh id. File-backed snapshots use
+  /// process-global counter, assigned at construction and never reused. A
+  /// Dataset builds its snapshot at most once and its copies share it, so
+  /// the id names one immutable set of rows. File-backed snapshots use
   /// 2^63 | generation instead — stable across processes. This is the key
   /// the cross-run MarginalStore (data/marginal_store.h) hangs cached
   /// joints on.

@@ -53,8 +53,8 @@ Dataset ReadCsv(const Schema& schema, std::istream& in) {
                                schema.attr(c).name + "'");
     }
   }
-  Dataset out{schema};
-  std::vector<Value> row(schema.num_attrs());
+  std::vector<std::vector<Value>> columns(
+      static_cast<size_t>(schema.num_attrs()));
   int line_no = 1;
   while (std::getline(in, line)) {
     ++line_no;
@@ -76,11 +76,10 @@ Dataset ReadCsv(const Schema& schema, std::istream& in) {
         throw std::runtime_error("CSV value out of domain at line " +
                                  std::to_string(line_no));
       }
-      row[c] = static_cast<Value>(v);
+      columns[c].push_back(static_cast<Value>(v));
     }
-    out.AppendRow(row);
   }
-  return out;
+  return Dataset::FromColumns(schema, std::move(columns));
 }
 
 Dataset ReadCsvFile(const Schema& schema, const std::string& path) {

@@ -7,147 +7,91 @@
 
 namespace privbayes {
 
-Dataset::Dataset(Schema schema) : schema_(std::move(schema)) {
-  columns_.resize(schema_.num_attrs());
+Dataset::Dataset() {
+  static const std::shared_ptr<const Rows> empty =
+      MakeRows(0, std::make_shared<const Columns>());
+  rows_ = empty;
 }
 
-Dataset::Dataset(Schema schema, int64_t num_rows)
-    : schema_(std::move(schema)), num_rows_(num_rows) {
-  PB_THROW_IF(num_rows < 0, "negative row count");
-  columns_.assign(schema_.num_attrs(),
-                  std::vector<Value>(static_cast<size_t>(num_rows), 0));
+Dataset::Dataset(Schema schema, std::shared_ptr<const Rows> rows)
+    : schema_(std::move(schema)), rows_(std::move(rows)) {}
+
+std::shared_ptr<Dataset::Rows> Dataset::MakeRows(
+    int64_t n, std::shared_ptr<const Columns> columns) {
+  auto rows = std::make_shared<Rows>();
+  rows->n = n;
+  rows->columns = std::move(columns);
+  return rows;
 }
 
-Dataset::Dataset(const Dataset& other)
-    : schema_(other.schema_),
-      num_rows_(other.num_rows_),
-      out_of_core_(other.out_of_core_),
-      columns_(other.columns_) {
-  std::lock_guard<std::mutex> lock(other.store_mu_);
-  store_ = other.store_;
-}
-
-Dataset& Dataset::operator=(const Dataset& other) {
-  if (this == &other) return *this;
-  schema_ = other.schema_;
-  num_rows_ = other.num_rows_;
-  out_of_core_ = other.out_of_core_;
-  columns_ = other.columns_;
-  std::shared_ptr<const ColumnStore> theirs;
-  {
-    std::lock_guard<std::mutex> lock(other.store_mu_);
-    theirs = other.store_;
-  }
-  std::lock_guard<std::mutex> lock(store_mu_);
-  store_ = std::move(theirs);
-  return *this;
-}
-
-Dataset::Dataset(Dataset&& other) noexcept
-    : schema_(std::move(other.schema_)),
-      num_rows_(other.num_rows_),
-      out_of_core_(other.out_of_core_),
-      columns_(std::move(other.columns_)) {
-  std::lock_guard<std::mutex> lock(other.store_mu_);
-  store_ = std::move(other.store_);
-}
-
-Dataset& Dataset::operator=(Dataset&& other) noexcept {
-  if (this == &other) return *this;
-  schema_ = std::move(other.schema_);
-  num_rows_ = other.num_rows_;
-  out_of_core_ = other.out_of_core_;
-  columns_ = std::move(other.columns_);
-  std::shared_ptr<const ColumnStore> theirs;
-  {
-    std::lock_guard<std::mutex> lock(other.store_mu_);
-    theirs = std::move(other.store_);
-  }
-  std::lock_guard<std::mutex> lock(store_mu_);
-  store_ = std::move(theirs);
-  return *this;
-}
-
-Dataset Dataset::FromColumns(Schema schema,
-                             std::vector<std::vector<Value>> columns) {
-  Dataset out(std::move(schema));
-  PB_THROW_IF(columns.size() != static_cast<size_t>(out.num_attrs()),
-              "column count " << columns.size() << " != " << out.num_attrs());
+Dataset Dataset::FromColumns(Schema schema, Columns columns) {
+  PB_THROW_IF(columns.size() != static_cast<size_t>(schema.num_attrs()),
+              "column count " << columns.size() << " != "
+                              << schema.num_attrs());
   size_t n = columns.empty() ? 0 : columns[0].size();
-  for (int c = 0; c < out.num_attrs(); ++c) {
+  for (int c = 0; c < schema.num_attrs(); ++c) {
     PB_THROW_IF(columns[c].size() != n,
-                "column '" << out.schema_.attr(c).name << "' has "
+                "column '" << schema.attr(c).name << "' has "
                            << columns[c].size() << " rows, expected " << n);
     // Compare as int: a cardinality of exactly 65536 is schema-legal but
     // would wrap to 0 as a Value.
-    int card = out.schema_.Cardinality(c);
+    int card = schema.Cardinality(c);
     // One max-reduction per column (it vectorizes) instead of a branch per
-    // cell: DecodeToOriginal runs this on every served chunk.
+    // cell: the sampler builds every served chunk through here.
     Value max_value = 0;
     for (Value v : columns[c]) max_value = std::max(max_value, v);
     PB_THROW_IF(static_cast<int>(max_value) >= card,
                 "value " << max_value << " out of domain for attribute '"
-                         << out.schema_.attr(c).name << "'");
+                         << schema.attr(c).name << "'");
   }
-  out.columns_ = std::move(columns);
-  out.num_rows_ = static_cast<int64_t>(n);
-  return out;
+  return Dataset(std::move(schema),
+                 MakeRows(static_cast<int64_t>(n),
+                          std::make_shared<const Columns>(std::move(columns))));
 }
 
 Dataset Dataset::FromPackedFile(const std::string& path) {
   std::shared_ptr<const ColumnBackend> backend = ColumnBackend::Open(path);
-  Dataset out(backend->schema());
-  out.num_rows_ = backend->num_rows();
-  out.out_of_core_ = true;
-  out.columns_.clear();
-  // The store is the dataset: build it eagerly so every copy shares the one
-  // mapping, and so store() below never rebuilds (there are no resident
-  // columns to rebuild from).
-  out.store_ = std::make_shared<const ColumnStore>(std::move(backend));
-  return out;
+  Schema schema = backend->schema();
+  std::shared_ptr<Rows> rows = MakeRows(backend->num_rows(), nullptr);
+  // The mapping is the snapshot: preset it before the rows are shared, so
+  // store() never builds one (there are no resident columns to build from).
+  rows->store = std::make_shared<const ColumnStore>(std::move(backend));
+  return Dataset(std::move(schema), std::move(rows));
+}
+
+Dataset Dataset::WithSchema(Schema schema) const {
+  PB_THROW_IF(out_of_core(),
+              "WithSchema(): a mapped packed dataset has no resident columns "
+              "to rebind");
+  PB_THROW_IF(schema.num_attrs() != num_attrs(),
+              "WithSchema(): width " << schema.num_attrs() << " != "
+                                     << num_attrs());
+  for (int c = 0; c < num_attrs(); ++c) {
+    PB_THROW_IF(schema.Cardinality(c) != schema_.Cardinality(c),
+                "WithSchema(): attribute '"
+                    << schema.attr(c).name << "' has cardinality "
+                    << schema.Cardinality(c) << ", the data "
+                    << schema_.Cardinality(c));
+  }
+  return Dataset(std::move(schema), MakeRows(rows_->n, rows_->columns));
 }
 
 const std::vector<Value>& Dataset::column(int col) const {
-  PB_THROW_IF(out_of_core_,
+  PB_THROW_IF(out_of_core(),
               "column(): raw columns are not resident in an out-of-core "
               "dataset; decode store()'s packed slices with UnpackValues");
-  return columns_[col];
-}
-
-void Dataset::Set(int64_t row, int col, Value v) {
-  PB_THROW_IF(out_of_core_, "Set(): out-of-core datasets are immutable");
-  PB_CHECK_MSG(v < schema_.Cardinality(col),
-               "value " << v << " out of domain for attribute '"
-                        << schema_.attr(col).name << "'");
-  columns_[col][row] = v;
-  InvalidateStore();
-}
-
-void Dataset::AppendRow(std::span<const Value> row) {
-  PB_THROW_IF(out_of_core_, "AppendRow(): out-of-core datasets are immutable");
-  PB_THROW_IF(static_cast<int>(row.size()) != num_attrs(),
-              "row width " << row.size() << " != " << num_attrs());
-  for (int c = 0; c < num_attrs(); ++c) {
-    PB_CHECK_MSG(row[c] < schema_.Cardinality(c),
-                 "value out of domain for attribute '" << schema_.attr(c).name
-                                                       << "'");
-    columns_[c].push_back(row[c]);
-  }
-  ++num_rows_;
-  InvalidateStore();
-}
-
-void Dataset::InvalidateStore() {
-  std::lock_guard<std::mutex> lock(store_mu_);
-  store_.reset();
+  return (*rows_->columns)[col];
 }
 
 std::shared_ptr<const ColumnStore> Dataset::store() const {
-  std::lock_guard<std::mutex> lock(store_mu_);
-  if (!store_) {
-    store_ = std::make_shared<const ColumnStore>(schema_, columns_, num_rows_);
-  }
-  return store_;
+  const Rows& rows = *rows_;
+  std::call_once(rows.built, [&] {
+    if (!rows.store) {
+      rows.store =
+          std::make_shared<const ColumnStore>(schema_, *rows.columns, rows.n);
+    }
+  });
+  return rows.store;
 }
 
 ProbTable Dataset::JointCounts(std::span<const int> attrs) const {
@@ -174,7 +118,7 @@ ProbTable Dataset::JointCountsGeneralized(
     std::span<const GenAttr> gattrs) const {
   ProbTable counts = MakeCountsTable(gattrs);
   if (gattrs.empty()) {
-    counts[0] = num_rows_;
+    counts[0] = static_cast<double>(num_rows());
     return counts;
   }
   store()->AccumulateCounts(gattrs, counts.values());
@@ -183,19 +127,19 @@ ProbTable Dataset::JointCountsGeneralized(
 
 ProbTable Dataset::JointCountsGeneralizedNaive(
     std::span<const GenAttr> gattrs) const {
-  PB_THROW_IF(out_of_core_,
+  PB_THROW_IF(out_of_core(),
               "naive counting needs resident columns; out-of-core datasets "
               "count through the ColumnStore engine");
   ProbTable counts = MakeCountsTable(gattrs);
   if (gattrs.empty()) {
-    counts[0] = static_cast<double>(num_rows_);
+    counts[0] = static_cast<double>(num_rows());
     return counts;
   }
   // Row-major flat index accumulated column by column (last var stride 1).
-  const size_t n = static_cast<size_t>(num_rows_);
+  const size_t n = static_cast<size_t>(num_rows());
   std::vector<size_t> flat(n, 0);
   for (const GenAttr& g : gattrs) {
-    const std::vector<Value>& col = columns_[g.attr];
+    const std::vector<Value>& col = column(g.attr);
     const TaxonomyTree& tax = schema_.attr(g.attr).taxonomy;
     size_t card = static_cast<size_t>(schema_.CardinalityAt(g.attr, g.level));
     if (g.level == 0) {
@@ -215,35 +159,40 @@ std::pair<Dataset, Dataset> Dataset::Split(double train_fraction,
                                            Rng& rng) const {
   PB_THROW_IF(train_fraction <= 0 || train_fraction >= 1,
               "train fraction must be in (0,1)");
-  PB_THROW_IF(out_of_core_, "Split(): out-of-core datasets cannot be split");
-  std::vector<int> order(static_cast<size_t>(num_rows_));
+  PB_THROW_IF(out_of_core(), "Split(): out-of-core datasets cannot be split");
+  const int64_t n = num_rows();
+  PB_THROW_IF(n < 2, "Split(): needs at least 2 rows, got " << n);
+  std::vector<int> order(static_cast<size_t>(n));
   std::iota(order.begin(), order.end(), 0);
   rng.Shuffle(order);
-  int n_train =
-      static_cast<int>(train_fraction * static_cast<double>(num_rows_));
-  n_train = std::clamp<int>(n_train, 1, static_cast<int>(num_rows_) - 1);
+  int n_train = static_cast<int>(train_fraction * static_cast<double>(n));
+  n_train = std::clamp<int>(n_train, 1, static_cast<int>(n) - 1);
   // Gather straight out of the shuffled order — no intermediate index copies.
   std::span<const int> all(order);
   return {SelectRows(all.first(n_train)), SelectRows(all.subspan(n_train))};
 }
 
 Dataset Dataset::SelectRows(std::span<const int> rows) const {
-  PB_THROW_IF(out_of_core_,
+  PB_THROW_IF(out_of_core(),
               "SelectRows(): out-of-core datasets cannot be subset");
   // One bounds pass up front; the per-column gathers below are unchecked.
+  const int64_t n = num_rows();
   for (int r : rows) {
-    PB_THROW_IF(r < 0 || r >= num_rows_,
-                "row index " << r << " out of range [0, " << num_rows_ << ")");
+    PB_THROW_IF(r < 0 || r >= n,
+                "row index " << r << " out of range [0, " << n << ")");
   }
-  Dataset out(schema_);
-  out.num_rows_ = static_cast<int64_t>(rows.size());
+  // The source's values are in domain, so the gathered columns skip
+  // FromColumns' range check.
+  Columns columns(static_cast<size_t>(num_attrs()));
   for (int c = 0; c < num_attrs(); ++c) {
-    const Value* src = columns_[c].data();
-    std::vector<Value>& dst = out.columns_[c];
+    const Value* src = column(c).data();
+    std::vector<Value>& dst = columns[c];
     dst.reserve(rows.size());
     for (int r : rows) dst.push_back(src[r]);
   }
-  return out;
+  return Dataset(schema_,
+                 MakeRows(static_cast<int64_t>(rows.size()),
+                          std::make_shared<const Columns>(std::move(columns))));
 }
 
 }  // namespace privbayes

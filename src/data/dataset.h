@@ -2,10 +2,16 @@
 //
 // Rows are individuals; columns are attributes holding discrete Values in
 // [0, cardinality). Column-major storage makes joint-distribution counting —
-// the hot loop of network learning — cache-friendly. Counting itself runs on
-// a lazily built, mutation-invalidated ColumnStore snapshot (every column
-// and generalized level bit-packed, row-sharded kernels); see
-// data/column_store.h.
+// the hot loop of network learning — cache-friendly.
+//
+// A Dataset is an immutable value: a Schema plus a shared pointer to its
+// rows. The rows are built once (FromColumns, or FromPackedFile for a mapped
+// file) and never change, so copies share them, and they also share the one
+// ColumnStore snapshot (every column and generalized level bit-packed,
+// row-sharded kernels; see data/column_store.h) that counting runs on. That
+// snapshot is built at most once, on first use, whichever copy asks first;
+// its id therefore names the rows for as long as any copy lives, which is
+// what the cross-run MarginalStore keys on.
 
 #ifndef PRIVBAYES_DATA_DATASET_H_
 #define PRIVBAYES_DATA_DATASET_H_
@@ -25,60 +31,51 @@
 
 namespace privbayes {
 
-/// A discrete table of n rows over a Schema.
+/// An immutable discrete table of n rows over a Schema. Copies are cheap
+/// and share everything; a moved-from Dataset may only be assigned to or
+/// destroyed.
 class Dataset {
  public:
   /// An empty dataset over an empty schema (placeholder; assign before use).
-  Dataset() = default;
-
-  /// Creates an empty (0-row) dataset over `schema`.
-  explicit Dataset(Schema schema);
-
-  /// Creates a zero-filled dataset with `num_rows` rows.
-  Dataset(Schema schema, int64_t num_rows);
-
-  // Copies share the immutable ColumnStore snapshot (if built); moves steal
-  // it. Hand-written because the store cache is guarded by a mutex.
-  Dataset(const Dataset& other);
-  Dataset& operator=(const Dataset& other);
-  Dataset(Dataset&& other) noexcept;
-  Dataset& operator=(Dataset&& other) noexcept;
+  Dataset();
 
   /// Adopts whole columns (one vector per attribute, equal lengths) without
-  /// copying. Values are range-checked once per column — this is the entry
-  /// point for the sampler's columnar row writer.
+  /// copying. Values are range-checked once per column. This is the one way
+  /// to build a dataset from values: CSV ingest, the generators, the
+  /// encoders and the sampler all assemble columns first.
   static Dataset FromColumns(Schema schema,
                              std::vector<std::vector<Value>> columns);
 
   /// Maps a packed dataset file (data/packed_file.h) read-only and wraps it
   /// as an out-of-core dataset: the schema comes from the file header, the
-  /// ColumnStore is backed by the mapping, and no raw column is ever
-  /// materialized. Counting and sampling work unchanged; per-cell accessors
-  /// (at/column/Set/AppendRow/Split/SelectRows and the naive counting pass)
-  /// require resident columns and throw. Throws on open/parse failure.
+  /// ColumnStore snapshot is the mapping itself, and no raw column is ever
+  /// materialized. Counting and sampling work unchanged; the per-cell
+  /// accessors (at/column/Split/SelectRows/WithSchema and the naive counting
+  /// pass) need resident columns and throw. Throws on open/parse failure.
   static Dataset FromPackedFile(const std::string& path);
 
+  /// The same rows under `schema`, which must give every attribute the
+  /// cardinality it has now (only names and taxonomies may differ), so no
+  /// value needs re-checking. The columns are shared, not copied; the result
+  /// gets its own snapshot, because the packed levels follow the taxonomies.
+  /// Throws on a width or cardinality mismatch and on out-of-core data.
+  Dataset WithSchema(Schema schema) const;
+
   const Schema& schema() const { return schema_; }
-  int64_t num_rows() const { return num_rows_; }
+  int64_t num_rows() const { return rows_->n; }
   int num_attrs() const { return schema_.num_attrs(); }
 
   /// True when the rows live in a mapped packed file rather than resident
   /// columns (see FromPackedFile).
-  bool out_of_core() const { return out_of_core_; }
+  bool out_of_core() const { return rows_->columns == nullptr; }
 
-  /// Cell accessors. No bounds checks in release hot paths beyond PB_CHECK
-  /// in debug-sensitive entry points; `Set` validates the value range.
-  /// Resident (non-out-of-core) datasets only.
-  Value at(int64_t row, int col) const { return columns_[col][row]; }
-  void Set(int64_t row, int col, Value v);
+  /// Cell accessor, unchecked. Resident (non-out-of-core) datasets only.
+  Value at(int64_t row, int col) const { return (*rows_->columns)[col][row]; }
 
   /// Whole column (length num_rows()). Resident datasets only; out-of-core
   /// consumers decode store()'s packed slices with UnpackValues
   /// (data/packed_codec.h) instead.
   const std::vector<Value>& column(int col) const;
-
-  /// Appends one row given values in schema order.
-  void AppendRow(std::span<const Value> row);
 
   /// Empirical joint COUNTS over the given attributes (variable ids are
   /// GenVarId(attr), i.e. level 0). Call Normalize() on the result for the
@@ -98,33 +95,44 @@ class Dataset {
   /// bit-identical to JointCountsGeneralized.
   ProbTable JointCountsGeneralizedNaive(std::span<const GenAttr> gattrs) const;
 
-  /// The columnar snapshot counting runs on; built on first use and shared
-  /// until the next mutation. Returned by shared_ptr so a counting pass
-  /// keeps its snapshot alive even if another thread mutates (and thereby
-  /// invalidates) the dataset mid-pass. Also exposed for engine-level tests
-  /// and for prebuilding the snapshot outside timed regions.
+  /// The columnar snapshot counting runs on: built on first use by whichever
+  /// copy asks first (safe from many threads at once) and shared by every
+  /// copy. The shared_ptr lets a snapshot outlive the datasets it came
+  /// from. Also exposed for engine-level tests and for prebuilding the
+  /// snapshot outside timed regions.
   std::shared_ptr<const ColumnStore> store() const;
 
   /// Deterministically splits rows into (train, test) with `train_fraction`
-  /// of rows in train, after a seeded shuffle (paper §6.1 uses 80/20).
+  /// of rows in train, after a seeded shuffle (paper §6.1 uses 80/20). Needs
+  /// at least 2 rows, so both halves are non-empty.
   std::pair<Dataset, Dataset> Split(double train_fraction, Rng& rng) const;
 
   /// Returns a copy containing only the given rows (bounds-checked once).
   Dataset SelectRows(std::span<const int> rows) const;
 
  private:
+  using Columns = std::vector<std::vector<Value>>;
+
+  // What every copy of a dataset shares. Never changes once published,
+  // except that `store` is written once, under `built`.
+  struct Rows {
+    int64_t n = 0;
+    // One vector per attribute; null for a mapped packed file. Shared with
+    // WithSchema rebinds.
+    std::shared_ptr<const Columns> columns;
+    mutable std::once_flag built;
+    mutable std::shared_ptr<const ColumnStore> store;
+  };
+
+  Dataset(Schema schema, std::shared_ptr<const Rows> rows);
+  static std::shared_ptr<Rows> MakeRows(
+      int64_t n, std::shared_ptr<const Columns> columns);
+
   // Builds the ProbTable shell (vars/cards) for a counting call.
   ProbTable MakeCountsTable(std::span<const GenAttr> gattrs) const;
-  void InvalidateStore();
 
   Schema schema_;
-  int64_t num_rows_ = 0;
-  bool out_of_core_ = false;
-  std::vector<std::vector<Value>> columns_;
-
-  // Lazily built snapshot; immutable once published, reset on mutation.
-  mutable std::mutex store_mu_;
-  mutable std::shared_ptr<const ColumnStore> store_;
+  std::shared_ptr<const Rows> rows_;
 };
 
 }  // namespace privbayes

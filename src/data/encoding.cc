@@ -27,14 +27,15 @@ int FromGray(int g) {
 }
 
 // Memo of Binary/Gray/Vanilla encodes keyed on (source snapshot id, kind).
-// Re-encoding is pure — same source snapshot, same bits — but a fresh encode
+// Re-encoding is pure — same source rows, same bits — but a fresh encode
 // gets a fresh ColumnStore snapshot id, so every Fit of an encoding sweep
-// (fig05–fig08 run four ε points per encoding on one dataset) used to count
-// its joints under a new key and the cross-run MarginalStore never hit.
-// Serving the SAME encoded Dataset (copies share the snapshot) makes those
-// sweeps share joints exactly like hierarchical — which needs no memo, since
-// it returns the input itself — already does. Mutating a returned copy is
-// safe: Dataset copies deep-copy cells and only drop their own snapshot ref.
+// (fig05–fig08 run four ε points per encoding on one dataset) would count
+// its joints under a new key and the cross-run MarginalStore would never
+// hit. Handing out copies of the SAME encoded Dataset (copies share the
+// rows and the snapshot) makes those sweeps share joints exactly like
+// hierarchical — which needs no memo, since it returns the input itself —
+// already does. Datasets are immutable and snapshot ids are never reused,
+// so a key can never name other rows than the ones it was cached for.
 struct EncodingMemo {
   struct Entry {
     uint64_t snapshot = 0;
@@ -43,16 +44,17 @@ struct EncodingMemo {
     std::shared_ptr<const EncodedDataset> value;
   };
 
-  // Rough residency of one cached entry: the encoded cells plus the
-  // published ColumnStore snapshot (its raw copy + minimal-width packing
-  // roughly double the cells again).
+  // Rough residency of one cached entry: the encoded cells (shared with the
+  // source for vanilla, but kept alive by the entry) plus the published
+  // ColumnStore snapshot, which packs every (attribute, level) at its
+  // minimal width. ×3 the cells is a deliberately loose bound.
   static size_t EstimateBytes(const Dataset& d) {
     return static_cast<size_t>(d.num_rows()) *
            static_cast<size_t>(d.num_attrs()) * sizeof(Value) * 3;
   }
 
   // Entries are shared_ptrs so the lock only ever covers list bookkeeping;
-  // the deep copy handed to the caller happens outside it.
+  // the copy handed to the caller (it shares the rows) is made outside it.
   std::shared_ptr<const EncodedDataset> Lookup(uint64_t snapshot,
                                                EncodingKind kind) {
     std::lock_guard<std::mutex> lock(mu);
@@ -156,26 +158,28 @@ Dataset BinaryEncoder::Encode(const Dataset& data) const {
   PB_THROW_IF(data.out_of_core(),
               "binary/gray encoding materializes every row; out-of-core "
               "datasets support the hierarchical encoding only");
-  Dataset out(binary_schema_, data.num_rows());
+  const size_t n = static_cast<size_t>(data.num_rows());
+  std::vector<std::vector<Value>> columns(
+      static_cast<size_t>(binary_schema_.num_attrs()), std::vector<Value>(n));
   for (int a = 0; a < original_.num_attrs(); ++a) {
-    int nb = bits_[a];
-    for (int r = 0; r < data.num_rows(); ++r) {
-      int code = EncodeValue(a, data.at(r, a));
+    const int nb = bits_[a];
+    const std::vector<Value>& in = data.column(a);
+    for (size_t r = 0; r < n; ++r) {
+      int code = EncodeValue(a, in[r]);
       for (int b = 0; b < nb; ++b) {
         // Bit 0 of the schema is the most significant bit of the code.
-        int bit = (code >> (nb - 1 - b)) & 1;
-        out.Set(r, offsets_[a] + b, static_cast<Value>(bit));
+        columns[offsets_[a] + b][r] =
+            static_cast<Value>((code >> (nb - 1 - b)) & 1);
       }
     }
   }
-  return out;
+  return Dataset::FromColumns(binary_schema_, std::move(columns));
 }
 
 Dataset BinaryEncoder::Decode(const Dataset& binary) const {
   PB_THROW_IF(binary.schema().num_attrs() != binary_schema_.num_attrs(),
               "binary dataset width mismatch");
-  // Columnar assembly (no per-cell Set with its per-cell snapshot
-  // invalidation): this decode runs per streamed chunk when serving
+  // Columnar assembly: this decode runs per streamed chunk when serving
   // Binary/Gray-encoded models.
   const int n = binary.num_rows();
   std::vector<std::vector<Value>> columns(
@@ -213,27 +217,18 @@ EncodedDataset EncodeUncached(const Dataset& data, EncodingKind kind) {
       Dataset encoded = enc->Encode(data);
       return EncodedDataset{std::move(encoded), std::move(enc)};
     }
-    case EncodingKind::kVanilla: {
-      // Same cell values under the flattened schema: adopt column copies
-      // instead of 10⁶ Set() calls (each of which locks to invalidate the
-      // snapshot).
+    case EncodingKind::kVanilla:
+      // Same columns under the flattened schema; the rebind shares them and
+      // packs its own (level-0 only) snapshot.
       PB_THROW_IF(data.out_of_core(),
-                  "vanilla encoding materializes every column; out-of-core "
+                  "vanilla encoding needs resident columns; out-of-core "
                   "datasets support the hierarchical encoding only");
-      Schema flat = FlattenTaxonomies(data.schema());
-      std::vector<std::vector<Value>> columns;
-      columns.reserve(static_cast<size_t>(data.num_attrs()));
-      for (int c = 0; c < data.num_attrs(); ++c) {
-        columns.push_back(data.column(c));
-      }
-      return EncodedDataset{
-          Dataset::FromColumns(std::move(flat), std::move(columns)), nullptr};
-    }
+      return EncodedDataset{data.WithSchema(FlattenTaxonomies(data.schema())),
+                            nullptr};
     case EncodingKind::kHierarchical:
-      // Build the source's snapshot BEFORE copying: the copy then shares
-      // it, so every Fit on the same dataset counts under one snapshot id —
-      // the key the cross-run MarginalStore hangs cached joints on.
-      data.store();
+      // A copy shares the source's rows and snapshot, so every Fit on the
+      // same dataset counts under one snapshot id — the key the cross-run
+      // MarginalStore hangs cached joints on.
       return EncodedDataset{data, nullptr};
   }
   PB_CHECK(false);
@@ -251,9 +246,6 @@ EncodedDataset ApplyEncoding(const Dataset& data, EncodingKind kind) {
     return *hit;
   }
   auto fresh = std::make_shared<EncodedDataset>(EncodeUncached(data, kind));
-  // Publish the encoded snapshot before caching so every copy handed out —
-  // including this first one — shares it.
-  fresh->data.store();
   return *Memo().Insert(snapshot, kind, std::move(fresh));
 }
 
@@ -265,21 +257,11 @@ Dataset DecodeToOriginal(const Dataset& synthetic, const Schema& original,
       PB_THROW_IF(encoder == nullptr, "binary decode requires the encoder");
       return encoder->Decode(synthetic);
     case EncodingKind::kVanilla:
-    case EncodingKind::kHierarchical: {
-      // Same cell values; restore the original schema (taxonomies). Adopt
-      // column copies instead of per-cell Set(): this runs per streamed
-      // chunk on the serving hot path, and Set()'s per-cell snapshot
-      // invalidation (a mutex round trip each) dominated decode there —
-      // FromColumns validates each column in one pass instead.
-      PB_THROW_IF(synthetic.num_attrs() != original.num_attrs(),
-                  "synthetic data width does not match the original schema");
-      std::vector<std::vector<Value>> columns;
-      columns.reserve(static_cast<size_t>(synthetic.num_attrs()));
-      for (int c = 0; c < synthetic.num_attrs(); ++c) {
-        columns.push_back(synthetic.column(c));
-      }
-      return Dataset::FromColumns(original, std::move(columns));
-    }
+    case EncodingKind::kHierarchical:
+      // Same cell values; restore the original schema (taxonomies). This
+      // runs per streamed chunk on the serving hot path, so the decoded
+      // chunk shares the sampled columns instead of copying them.
+      return synthetic.WithSchema(original);
   }
   PB_CHECK(false);
 }

@@ -76,8 +76,10 @@ Schema FlattenTaxonomies(const Schema& schema);
 /// Returns the dataset re-schemed for the requested encoding:
 ///   kBinary / kGray   — binarized dataset (use the returned encoder to
 ///                       decode synthetic output);
-///   kVanilla          — same data, taxonomies flattened;
-///   kHierarchical     — the input unchanged.
+///   kVanilla          — the same columns (shared, not copied) under the
+///                       flattened schema;
+///   kHierarchical     — the input itself (a copy shares its rows and
+///                       snapshot).
 struct EncodedDataset {
   Dataset data;
   /// Set only for kBinary / kGray.
@@ -86,6 +88,9 @@ struct EncodedDataset {
 EncodedDataset ApplyEncoding(const Dataset& data, EncodingKind kind);
 
 /// Maps synthetic data produced under `kind` back to the original schema.
+/// Binary/Gray decode into new columns; Vanilla/Hierarchical only restore
+/// the taxonomies, so the result shares `synthetic`'s columns
+/// (Dataset::WithSchema) and throws if the cardinalities differ.
 Dataset DecodeToOriginal(const Dataset& synthetic, const Schema& original,
                          EncodingKind kind, const BinaryEncoder* encoder);
 

@@ -83,6 +83,7 @@ std::vector<double> SkewedBase(int card, Rng& rng) {
 Dataset SampleFromGroundTruth(const Schema& schema, int num_rows,
                               uint64_t seed, double correlation_strength,
                               int max_parents) {
+  PB_THROW_IF(num_rows < 0, "negative row count");
   Rng rng(DeriveSeed(seed, 0xDA7A));
   int d = schema.num_attrs();
   std::vector<GroundTruthNode> nodes(d);
@@ -122,7 +123,9 @@ Dataset SampleFromGroundTruth(const Schema& schema, int num_rows,
     }
   }
 
-  Dataset out(schema, num_rows);
+  std::vector<std::vector<Value>> columns(
+      static_cast<size_t>(d),
+      std::vector<Value>(static_cast<size_t>(num_rows)));
   std::vector<Value> row(d);
   for (int r = 0; r < num_rows; ++r) {
     for (int i = 0; i < d; ++i) {
@@ -132,10 +135,10 @@ Dataset SampleFromGroundTruth(const Schema& schema, int num_rows,
         cpt_row = cpt_row * static_cast<size_t>(schema.Cardinality(p)) + row[p];
       }
       row[i] = static_cast<Value>(rng.Discrete(node.cpt[cpt_row]));
-      out.Set(r, i, row[i]);
+      columns[i][r] = row[i];
     }
   }
-  return out;
+  return Dataset::FromColumns(schema, std::move(columns));
 }
 
 Schema NltcsSchema() {

@@ -5,14 +5,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <list>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/flags.h"
 #include "data/column_store.h"
 #include "obs/metrics.h"
 
@@ -96,9 +99,8 @@ std::string KeyOf(uint64_t snapshot_id, std::span<const GenAttr> sorted) {
   return key;
 }
 
-// Table shell (vars/cards) for a counting call — mirrors the shell Dataset
-// builds, but against the snapshot the store holds, so a racing mutation of
-// the Dataset cannot slip post-mutation counts under a pre-mutation key.
+// Table shell (vars/cards) for a counting call — the same shell
+// Dataset::JointCountsGeneralized builds.
 ProbTable MakeShell(const Schema& schema, std::span<const GenAttr> gattrs) {
   std::vector<int> vars, cards;
   vars.reserve(gattrs.size());
@@ -141,12 +143,15 @@ MarginalCacheConfig MarginalCacheConfigFromString(const char* value) {
     config.enabled = false;
     return config;
   }
-  char* end = nullptr;
-  long long bytes = std::strtoll(v.c_str(), &end, 10);
-  if (end != v.c_str() && *end == '\0' && bytes >= 2) {
-    config.byte_budget = static_cast<size_t>(bytes);
-  }
-  return config;  // unrecognized text: enabled with the default cap
+  // "0" and "1" are taken above, so any count left is a budget of >= 2.
+  const std::optional<long long> bytes =
+      ParseCount(v, std::numeric_limits<long long>::max());
+  PB_THROW_IF(!bytes, "PRIVBAYES_MARGINAL_CACHE='"
+                          << v
+                          << "' is not off|0|false, on|1|auto or a whole "
+                             "byte budget");
+  config.byte_budget = static_cast<size_t>(*bytes);
+  return config;
 }
 
 struct MarginalStore::Shard {

@@ -14,9 +14,11 @@
 //
 // Keying. An entry is identified by (ColumnStore::snapshot_id, sorted GenAttr
 // set). Snapshot ids come from a process-global counter assigned at snapshot
-// construction: Dataset copies share the snapshot (same id, shared joints);
-// any mutation invalidates the snapshot, so the next counting call gets a
-// fresh id and can never see stale counts. Tables are stored in CANONICAL
+// construction and are never reused. A Dataset is immutable and all its
+// copies share one snapshot, so an id always names the same rows: copies
+// share joints, and a dataset that differs in even one cell was built
+// separately, has its own snapshot and id, and can never be served another
+// dataset's counts. Tables are stored in CANONICAL
 // order (vars sorted by GenVarId), so one entry serves every parent/child
 // arrangement of the same attribute set; callers that need a specific order
 // use CountsOrdered, which permutes the canonical cells. Counts are exact
@@ -40,6 +42,8 @@
 //                          guard job runs the whole suite this way)
 //   on | 1 | auto | ""   — enabled with the default byte cap
 //   <integer >= 2>       — enabled with that many bytes of budget
+// Any other text ("64kb") throws std::invalid_argument naming the variable
+// when the store is first used, instead of running on the default cap.
 
 #ifndef PRIVBAYES_DATA_MARGINAL_STORE_H_
 #define PRIVBAYES_DATA_MARGINAL_STORE_H_
@@ -67,7 +71,8 @@ struct MarginalStoreStats {
   uint64_t entries = 0;
 };
 
-/// Parsed PRIVBAYES_MARGINAL_CACHE value (exposed for tests).
+/// Parsed PRIVBAYES_MARGINAL_CACHE value (exposed for tests). Throws
+/// std::invalid_argument on text outside the forms listed above.
 struct MarginalCacheConfig {
   bool enabled = true;
   size_t byte_budget = 0;  ///< 0 selects the default cap

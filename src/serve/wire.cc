@@ -7,10 +7,14 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <thread>
 
 #include "common/check.h"
+#include "common/flags.h"
 #include "common/random.h"
 
 namespace privbayes {
@@ -74,13 +78,20 @@ void WireFaults::ResetFromEnv() {
     Disable();
     return;
   }
-  char* after_seed = nullptr;
-  const uint64_t seed = std::strtoull(spec, &after_seed, 10);
-  double rate = 0;
-  if (after_seed != spec && *after_seed == ':') {
-    rate = std::strtod(after_seed + 1, nullptr);
-  }
-  ConfigureForTesting(seed, rate);
+  const std::string_view text(spec);
+  const size_t colon = text.find(':');
+  const std::optional<long long> seed =
+      colon == std::string_view::npos
+          ? std::nullopt
+          : ParseCount(text.substr(0, colon),
+                       std::numeric_limits<long long>::max());
+  const std::optional<double> rate =
+      seed ? ParseNonNegativeDouble(text.substr(colon + 1)) : std::nullopt;
+  PB_THROW_IF(!rate || *rate > 1,
+              "PRIVBAYES_WIRE_FAULTS='" << spec
+                                        << "' is not <seed>:<rate> with a "
+                                           "rate in [0, 1]");
+  ConfigureForTesting(static_cast<uint64_t>(*seed), *rate);
 }
 
 WireFaultStats WireFaults::stats() {

@@ -102,8 +102,10 @@ class WireFaults {
   /// Disarms the injector.
   static void Disable();
 
-  /// Re-reads PRIVBAYES_WIRE_FAULTS ("<seed>:<rate>"); unset/invalid or a
-  /// zero rate disarms. Called once automatically before the first wire I/O.
+  /// Re-reads PRIVBAYES_WIRE_FAULTS ("<seed>:<rate>"); unset, empty or a
+  /// zero rate disarms, and any other malformed text throws
+  /// std::invalid_argument naming the variable. Called once automatically
+  /// at load time when the variable is set.
   static void ResetFromEnv();
 
   static WireFaultStats stats();

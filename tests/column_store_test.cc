@@ -6,6 +6,7 @@
 #include <span>
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -19,15 +20,15 @@ namespace {
 
 // Fills a dataset over `schema` with seeded uniform values.
 Dataset RandomDataset(const Schema& schema, int num_rows, uint64_t seed) {
-  Dataset d(schema, num_rows);
+  std::vector<std::vector<Value>> cols(schema.num_attrs(),
+                                       std::vector<Value>(num_rows));
   Rng rng(seed);
   for (int c = 0; c < schema.num_attrs(); ++c) {
     for (int r = 0; r < num_rows; ++r) {
-      d.Set(r, c,
-            static_cast<Value>(rng.UniformInt(schema.Cardinality(c))));
+      cols[c][r] = static_cast<Value>(rng.UniformInt(schema.Cardinality(c)));
     }
   }
-  return d;
+  return Dataset::FromColumns(schema, std::move(cols));
 }
 
 void ExpectIdenticalCounts(const Dataset& d, std::span<const GenAttr> gattrs) {
@@ -138,39 +139,73 @@ TEST(ColumnStore, SameAttributeAtTwoLevels) {
   ExpectIdenticalCounts(d, std::vector<GenAttr>{{0, 0}, {0, 2}});
 }
 
-TEST(ColumnStore, StoreInvalidatedByMutation) {
+TEST(ColumnStore, DatasetsDifferingInOneRowCountDifferently) {
   Schema schema({Attribute::Binary("a"), Attribute::Binary("b")});
-  Dataset d(schema, 100);
+  std::vector<std::vector<Value>> cols(2, std::vector<Value>(100));
+  Dataset zeros = Dataset::FromColumns(schema, cols);
   std::vector<GenAttr> gattrs = {{0, 0}, {1, 0}};
-  ProbTable before = d.JointCountsGeneralized(gattrs);
+  ProbTable before = zeros.JointCountsGeneralized(gattrs);
   EXPECT_DOUBLE_EQ(before[0], 100.0);  // all-zero rows
-  d.Set(5, 0, 1);
-  d.Set(5, 1, 1);
-  ProbTable after = d.JointCountsGeneralized(gattrs);
+
+  cols[0][5] = 1;
+  cols[1][5] = 1;
+  Dataset changed = Dataset::FromColumns(schema, cols);
+  ProbTable after = changed.JointCountsGeneralized(gattrs);
   EXPECT_DOUBLE_EQ(after[0], 99.0);
   EXPECT_DOUBLE_EQ(after[3], 1.0);
-  std::vector<Value> row = {1, 0};
-  d.AppendRow(row);
-  ProbTable appended = d.JointCountsGeneralized(gattrs);
+  EXPECT_NE(changed.store()->snapshot_id(), zeros.store()->snapshot_id());
+
+  cols[0].push_back(1);
+  cols[1].push_back(0);
+  Dataset longer = Dataset::FromColumns(schema, std::move(cols));
+  ProbTable appended = longer.JointCountsGeneralized(gattrs);
   EXPECT_DOUBLE_EQ(appended[2], 1.0);
   EXPECT_DOUBLE_EQ(appended.Sum(), 101.0);
+
+  // Each dataset keeps counting its own rows.
+  EXPECT_DOUBLE_EQ(zeros.JointCountsGeneralized(gattrs)[0], 100.0);
 }
 
-TEST(ColumnStore, SnapshotOutlivesMutation) {
+TEST(ColumnStore, SnapshotOutlivesItsDataset) {
   Schema schema({Attribute::Binary("a"), Attribute::Binary("b")});
-  Dataset d(schema, 128);
-  for (int r = 0; r < 128; r += 2) d.Set(r, 0, 1);
-  std::shared_ptr<const ColumnStore> snapshot = d.store();
-  // Mutating the dataset invalidates its cache but must not free the
-  // snapshot a concurrent counting pass could still be reading.
-  d.Set(0, 0, 0);
-  d.AppendRow(std::vector<Value>{1, 1});
+  std::shared_ptr<const ColumnStore> snapshot;
+  {
+    std::vector<Value> a(128, 0);
+    for (int r = 0; r < 128; r += 2) a[r] = 1;
+    Dataset d =
+        Dataset::FromColumns(schema, {std::move(a), std::vector<Value>(128)});
+    snapshot = d.store();
+  }
+  // Every dataset over these rows is gone; a counting pass that still holds
+  // the snapshot must read it intact.
   EXPECT_EQ(snapshot->num_rows(), 128);
   std::vector<GenAttr> gattrs = {{0, 0}};
   std::vector<double> cells(2, 0.0);
   snapshot->AccumulateCounts(gattrs, cells);
-  EXPECT_DOUBLE_EQ(cells[1], 64.0);  // pre-mutation contents
-  EXPECT_NE(d.store(), snapshot);    // fresh snapshot after mutation
+  EXPECT_DOUBLE_EQ(cells[1], 64.0);
+}
+
+// Copies made before the first count, counted from several threads at once:
+// the snapshot is built exactly once and every copy gets it.
+TEST(ColumnStore, ConcurrentFirstCountsShareOneSnapshot) {
+  constexpr int kThreads = 8;
+  Dataset d = MakeNltcs(4, 3000);
+  std::vector<Dataset> copies(kThreads, d);
+  std::vector<std::shared_ptr<const ColumnStore>> stores(kThreads);
+  std::vector<double> sums(kThreads, 0.0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<GenAttr> gattrs = {{t, 0}, {t + 1, 0}};
+      sums[t] = copies[t].JointCountsGeneralized(gattrs).Sum();
+      stores[t] = copies[t].store();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(stores[t], d.store()) << "thread " << t;
+    EXPECT_DOUBLE_EQ(sums[t], 3000.0);
+  }
 }
 
 TEST(ColumnStore, RepeatedCallsReuseScratchCleanly) {
@@ -200,8 +235,9 @@ TEST(ColumnStore, NltcsScoringShapedCandidates) {
 
 TEST(ColumnStore, PackedColumnsExposeBitExactRows) {
   Schema schema({Attribute::Binary("a")});
-  Dataset d(schema, 70);
-  for (int r = 0; r < 70; r += 3) d.Set(r, 0, 1);
+  std::vector<Value> a(70, 0);
+  for (int r = 0; r < 70; r += 3) a[r] = 1;
+  Dataset d = Dataset::FromColumns(schema, {std::move(a)});
   std::shared_ptr<const ColumnStore> store = d.store();
   ASSERT_TRUE(store->packed(0));
   std::span<const uint64_t> words = store->packed_words(0);

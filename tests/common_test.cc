@@ -5,12 +5,22 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <numeric>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "common/cpu.h"
 #include "common/env.h"
 #include "common/flags.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
+#include "data/marginal_store.h"
+#include "obs/log.h"
+#include "serve/wire.h"
 
 namespace privbayes {
 namespace {
@@ -162,10 +172,107 @@ TEST(Env, IntAndDoubleAndFlag) {
   EXPECT_FALSE(EnvFlag("PB_TEST_FLAG"));
 }
 
+// Sets an environment variable for one scope and restores it after.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+// Only the two knobs that name a mode rather than a number keep a fallback
+// for text they do not know: PRIVBAYES_SIMD runs at the detected level and
+// PRIVBAYES_LOG_LEVEL at info, so a typo never stops a process.
 TEST(Env, GarbageFallsBackToDefault) {
-  ::setenv("PB_TEST_GARBAGE", "abc", 1);
-  EXPECT_EQ(EnvInt("PB_TEST_GARBAGE", 5), 5);
-  EXPECT_DOUBLE_EQ(EnvDouble("PB_TEST_GARBAGE", 1.5), 1.5);
+  EXPECT_EQ(SimdLevelFromString("avx9000", SimdLevel::kAvx2),
+            SimdLevel::kAvx2);
+  EXPECT_EQ(SimdLevelFromString("garbage", SimdLevel::kScalar),
+            SimdLevel::kScalar);
+  ScopedEnv level("PRIVBAYES_LOG_LEVEL", "garbage");
+  EXPECT_EQ(GetLogLevel(), LogLevel::kInfo);
+}
+
+// The numeric knobs parse the whole text: unset or empty keeps the default,
+// and any other malformed text throws, naming the variable and the text.
+TEST(Env, MalformedNumericKnobsThrowNamingTheVariable) {
+  struct Case {
+    const char* variable;
+    const char* text;
+    std::function<void()> read;
+  };
+  const auto env_int = [] { EnvInt("PB_TEST_KNOB", 5); };
+  const auto env_double = [] { EnvDouble("PB_TEST_KNOB", 1.5); };
+  const auto threads = [] { ThreadPool::ThreadCountFromEnv(); };
+  const auto cache = [] {
+    MarginalCacheConfigFromString(std::getenv("PRIVBAYES_MARGINAL_CACHE"));
+  };
+  const auto faults = [] { WireFaults::ResetFromEnv(); };
+  const Case cases[] = {
+      {"PB_TEST_KNOB", "12x", env_int},
+      {"PB_TEST_KNOB", "64kb", env_int},
+      {"PB_TEST_KNOB", "-1", env_int},
+      {"PB_TEST_KNOB", " 3", env_int},
+      {"PB_TEST_KNOB", "0.5y", env_double},
+      {"PB_TEST_KNOB", "-1", env_double},
+      {"PRIVBAYES_THREADS", "12x", threads},
+      {"PRIVBAYES_THREADS", "-1", threads},
+      {"PRIVBAYES_THREADS", "0", threads},
+      {"PRIVBAYES_THREADS", "4096", threads},
+      {"PRIVBAYES_MARGINAL_CACHE", "64kb", cache},
+      {"PRIVBAYES_MARGINAL_CACHE", "12x", cache},
+      {"PRIVBAYES_MARGINAL_CACHE", "-1", cache},
+      {"PRIVBAYES_WIRE_FAULTS", "7:0.5y", faults},
+      {"PRIVBAYES_WIRE_FAULTS", "7", faults},
+      {"PRIVBAYES_WIRE_FAULTS", "x:0.5", faults},
+      {"PRIVBAYES_WIRE_FAULTS", "7:1.5", faults},
+  };
+  for (const Case& c : cases) {
+    ScopedEnv env(c.variable, c.text);
+    try {
+      c.read();
+      ADD_FAILURE() << c.variable << "='" << c.text << "' did not throw";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(c.variable), std::string::npos) << what;
+      EXPECT_NE(what.find(c.text), std::string::npos) << what;
+    }
+  }
+
+  // Unset or empty keeps the default.
+  ::unsetenv("PB_TEST_KNOB");
+  EXPECT_EQ(EnvInt("PB_TEST_KNOB", 5), 5);
+  EXPECT_DOUBLE_EQ(EnvDouble("PB_TEST_KNOB", 1.5), 1.5);
+  {
+    ScopedEnv empty("PB_TEST_KNOB", "");
+    EXPECT_EQ(EnvInt("PB_TEST_KNOB", 5), 5);
+    EXPECT_DOUBLE_EQ(EnvDouble("PB_TEST_KNOB", 1.5), 1.5);
+  }
+  {
+    ScopedEnv empty("PRIVBAYES_THREADS", "");
+    EXPECT_EQ(ThreadPool::ThreadCountFromEnv(),
+              std::max<size_t>(1, std::thread::hardware_concurrency()));
+  }
+  {
+    ScopedEnv four("PRIVBAYES_THREADS", "4");
+    EXPECT_EQ(ThreadPool::ThreadCountFromEnv(), 4u);
+  }
+  {
+    ScopedEnv empty("PRIVBAYES_WIRE_FAULTS", "");
+    WireFaults::ResetFromEnv();
+    EXPECT_FALSE(WireFaults::enabled());
+  }
 }
 
 TEST(Flags, ParseCountAcceptsOnlyWholeCountsUpToMax) {

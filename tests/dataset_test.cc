@@ -7,6 +7,7 @@
 #include "common/random.h"
 #include "data/csv.h"
 #include "data/dataset.h"
+#include "data/encoding.h"
 
 namespace privbayes {
 namespace {
@@ -14,6 +15,17 @@ namespace {
 Schema SmallSchema() {
   return Schema({Attribute::Binary("a"), Attribute::Categorical("b", 3),
                  Attribute::Continuous("c", 0, 16, 4)});
+}
+
+// Builds a dataset from rows given in schema order.
+Dataset FromRows(const Schema& schema,
+                 const std::vector<std::vector<Value>>& rows) {
+  std::vector<std::vector<Value>> columns(
+      static_cast<size_t>(schema.num_attrs()));
+  for (const std::vector<Value>& row : rows) {
+    for (int c = 0; c < schema.num_attrs(); ++c) columns[c].push_back(row[c]);
+  }
+  return Dataset::FromColumns(schema, std::move(columns));
 }
 
 TEST(Attribute, Factories) {
@@ -55,23 +67,55 @@ TEST(GenVarId, PackUnpackRoundTrip) {
   EXPECT_EQ(GenVarId(7), GenVarId(GenAttr{7, 0}));
 }
 
-TEST(Dataset, AppendAndAccess) {
-  Dataset d{SmallSchema()};
-  std::vector<Value> row = {1, 2, 3};
-  d.AppendRow(row);
-  EXPECT_EQ(d.num_rows(), 1);
+TEST(Dataset, CellAndColumnAccess) {
+  Dataset d = FromRows(SmallSchema(), {{1, 2, 3}, {0, 1, 0}});
+  EXPECT_EQ(d.num_rows(), 2);
   EXPECT_EQ(d.at(0, 1), 2);
-  d.Set(0, 1, 0);
-  EXPECT_EQ(d.at(0, 1), 0);
-  std::vector<Value> bad_width = {1, 2};
-  EXPECT_THROW(d.AppendRow(bad_width), std::invalid_argument);
+  EXPECT_EQ(d.at(1, 1), 1);
+  EXPECT_EQ(d.column(2), (std::vector<Value>{3, 0}));
+  EXPECT_FALSE(d.out_of_core());
+  Dataset placeholder;
+  EXPECT_EQ(placeholder.num_rows(), 0);
+  EXPECT_EQ(placeholder.num_attrs(), 0);
+  placeholder = d;
+  EXPECT_EQ(placeholder.column(0), d.column(0));
+}
+
+// Copies share the rows and the one snapshot however early they are made:
+// the snapshot id names the rows, whichever copy counts first.
+TEST(Dataset, CopiesShareOneSnapshot) {
+  Dataset d = FromRows(SmallSchema(), {{0, 1, 0}, {1, 2, 3}, {1, 1, 0}});
+  Dataset copy = d;  // before the first count
+  Dataset moved_from = d;
+  Dataset moved = std::move(moved_from);
+  std::shared_ptr<const ColumnStore> snapshot = copy.store();
+  EXPECT_EQ(d.store(), snapshot);
+  EXPECT_EQ(d.store()->snapshot_id(), snapshot->snapshot_id());
+  EXPECT_EQ(moved.store(), snapshot);
+  EXPECT_EQ(copy.column(0).data(), d.column(0).data());
+}
+
+TEST(Dataset, WithSchemaSharesColumnsUnderEqualCardinalities) {
+  Schema s = SmallSchema();
+  Dataset d = FromRows(s, {{0, 1, 0}, {1, 2, 3}});
+  Schema flat = FlattenTaxonomies(s);
+  Dataset rebound = d.WithSchema(flat);
+  EXPECT_TRUE(rebound.schema().attr(2).taxonomy.IsFlat());
+  for (int c = 0; c < d.num_attrs(); ++c) {
+    EXPECT_EQ(rebound.column(c).data(), d.column(c).data());
+  }
+  // Its own snapshot: the packed levels follow the schema's taxonomies.
+  EXPECT_NE(rebound.store()->snapshot_id(), d.store()->snapshot_id());
+  Schema wider({Attribute::Binary("a"), Attribute::Categorical("b", 4),
+                Attribute::Continuous("c", 0, 16, 4)});
+  EXPECT_THROW(d.WithSchema(wider), std::invalid_argument);
+  Schema narrow({Attribute::Binary("a"), Attribute::Categorical("b", 3)});
+  EXPECT_THROW(d.WithSchema(narrow), std::invalid_argument);
 }
 
 TEST(Dataset, JointCountsMatchManualCount) {
-  Dataset d{SmallSchema()};
-  std::vector<std::vector<Value>> rows = {
-      {0, 1, 0}, {0, 1, 0}, {1, 2, 3}, {1, 1, 0}, {0, 0, 2}};
-  for (auto& r : rows) d.AppendRow(r);
+  Dataset d = FromRows(SmallSchema(), {{0, 1, 0}, {0, 1, 0}, {1, 2, 3},
+                                       {1, 1, 0}, {0, 0, 2}});
   std::vector<int> attrs = {0, 1};
   ProbTable counts = d.JointCounts(attrs);
   EXPECT_DOUBLE_EQ(counts.Sum(), 5.0);
@@ -84,12 +128,10 @@ TEST(Dataset, JointCountsMatchManualCount) {
 }
 
 TEST(Dataset, JointCountsGeneralized) {
-  Dataset d{SmallSchema()};
   // Attribute c has a binary-tree taxonomy over 4 bins: level 1 groups
   // {0,1} and {2,3}.
-  std::vector<std::vector<Value>> rows = {{0, 0, 0}, {0, 0, 1}, {0, 0, 2},
-                                          {0, 0, 3}, {1, 0, 3}};
-  for (auto& r : rows) d.AppendRow(r);
+  Dataset d = FromRows(SmallSchema(), {{0, 0, 0}, {0, 0, 1}, {0, 0, 2},
+                                       {0, 0, 3}, {1, 0, 3}});
   std::vector<GenAttr> gattrs = {{2, 1}, {0, 0}};
   ProbTable counts = d.JointCountsGeneralized(gattrs);
   EXPECT_EQ(counts.cards(), (std::vector<int>{2, 2}));
@@ -102,23 +144,19 @@ TEST(Dataset, JointCountsGeneralized) {
 }
 
 TEST(Dataset, JointCountsEmptyAttrSetIsScalarN) {
-  Dataset d{SmallSchema()};
-  std::vector<Value> row = {0, 0, 0};
-  d.AppendRow(row);
-  d.AppendRow(row);
+  Dataset d = FromRows(SmallSchema(), {{0, 0, 0}, {0, 0, 0}});
   ProbTable counts = d.JointCounts({});
   EXPECT_EQ(counts.size(), 1u);
   EXPECT_DOUBLE_EQ(counts[0], 2.0);
 }
 
 TEST(Dataset, SplitPartitionsRows) {
-  Dataset d{SmallSchema()};
+  std::vector<std::vector<Value>> rows;
   for (int i = 0; i < 100; ++i) {
-    std::vector<Value> row = {static_cast<Value>(i % 2),
-                              static_cast<Value>(i % 3),
-                              static_cast<Value>(i % 4)};
-    d.AppendRow(row);
+    rows.push_back({static_cast<Value>(i % 2), static_cast<Value>(i % 3),
+                    static_cast<Value>(i % 4)});
   }
+  Dataset d = FromRows(SmallSchema(), rows);
   Rng rng(3);
   auto [train, test] = d.Split(0.8, rng);
   EXPECT_EQ(train.num_rows(), 80);
@@ -127,13 +165,25 @@ TEST(Dataset, SplitPartitionsRows) {
   EXPECT_THROW(d.Split(1.0, rng), std::invalid_argument);
 }
 
-TEST(Dataset, SelectRows) {
-  Dataset d{SmallSchema()};
-  for (int i = 0; i < 10; ++i) {
-    std::vector<Value> row = {static_cast<Value>(i % 2), 0,
-                              static_cast<Value>(i % 4)};
-    d.AppendRow(row);
+TEST(Dataset, SplitNeedsTwoRows) {
+  Rng rng(4);
+  for (int n : {0, 1}) {
+    Dataset d = FromRows(SmallSchema(),
+                         std::vector<std::vector<Value>>(n, {0, 0, 0}));
+    EXPECT_THROW(d.Split(0.5, rng), std::invalid_argument) << n << " rows";
   }
+  auto [train, test] = FromRows(SmallSchema(), {{0, 0, 0}, {1, 1, 1}})
+                           .Split(0.5, rng);
+  EXPECT_EQ(train.num_rows(), 1);
+  EXPECT_EQ(test.num_rows(), 1);
+}
+
+TEST(Dataset, SelectRows) {
+  std::vector<std::vector<Value>> rows;
+  for (int i = 0; i < 10; ++i) {
+    rows.push_back({static_cast<Value>(i % 2), 0, static_cast<Value>(i % 4)});
+  }
+  Dataset d = FromRows(SmallSchema(), rows);
   std::vector<int> pick = {9, 0, 3};
   Dataset s = d.SelectRows(pick);
   EXPECT_EQ(s.num_rows(), 3);
@@ -143,10 +193,7 @@ TEST(Dataset, SelectRows) {
 }
 
 TEST(Dataset, SelectRowsRejectsOutOfRangeIndices) {
-  Dataset d{SmallSchema()};
-  std::vector<Value> row = {0, 0, 0};
-  d.AppendRow(row);
-  d.AppendRow(row);
+  Dataset d = FromRows(SmallSchema(), {{0, 0, 0}, {0, 0, 0}});
   std::vector<int> negative = {0, -1};
   EXPECT_THROW(d.SelectRows(negative), std::invalid_argument);
   std::vector<int> too_big = {0, 2};
@@ -188,14 +235,14 @@ TEST(Dataset, FromColumnsValidatesShapeAndDomain) {
 }
 
 TEST(Csv, RoundTrip) {
-  Dataset d{SmallSchema()};
+  std::vector<std::vector<Value>> rows;
   Rng rng(5);
   for (int i = 0; i < 50; ++i) {
-    std::vector<Value> row = {static_cast<Value>(rng.UniformInt(2)),
-                              static_cast<Value>(rng.UniformInt(3)),
-                              static_cast<Value>(rng.UniformInt(4))};
-    d.AppendRow(row);
+    rows.push_back({static_cast<Value>(rng.UniformInt(2)),
+                    static_cast<Value>(rng.UniformInt(3)),
+                    static_cast<Value>(rng.UniformInt(4))});
   }
+  Dataset d = FromRows(SmallSchema(), rows);
   std::ostringstream out;
   WriteCsv(d, out);
   std::istringstream in(out.str());

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "bn/sampling.h"
 #include "common/random.h"
+#include "core/privbayes.h"
 #include "data/encoding.h"
 
 namespace privbayes {
@@ -15,14 +17,15 @@ Schema MixedSchema() {
 }
 
 Dataset RandomData(const Schema& s, int rows, uint64_t seed) {
-  Dataset d(s, rows);
+  std::vector<std::vector<Value>> cols(s.num_attrs(),
+                                       std::vector<Value>(rows));
   Rng rng(seed);
   for (int r = 0; r < rows; ++r) {
     for (int c = 0; c < s.num_attrs(); ++c) {
-      d.Set(r, c, static_cast<Value>(rng.UniformInt(s.Cardinality(c))));
+      cols[c][r] = static_cast<Value>(rng.UniformInt(s.Cardinality(c)));
     }
   }
-  return d;
+  return Dataset::FromColumns(s, std::move(cols));
 }
 
 TEST(BinaryEncoder, SchemaShape) {
@@ -96,8 +99,7 @@ TEST(BinaryEncoder, MsbFirstLayout) {
   // Value 4 of an 8-value domain is 100₂: bit column 0 (MSB) holds 1.
   Schema s({Attribute::Categorical("c", 8)});
   BinaryEncoder enc(s, false);
-  Dataset d(s, 1);
-  d.Set(0, 0, 4);
+  Dataset d = Dataset::FromColumns(s, {{4}});
   Dataset bin = enc.Encode(d);
   EXPECT_EQ(bin.at(0, 0), 1);
   EXPECT_EQ(bin.at(0, 1), 0);
@@ -147,6 +149,36 @@ TEST(Encoding, DecodeToOriginalRestoresSchema) {
   }
 }
 
+// Vanilla and hierarchical decoding only restore the taxonomies: the decoded
+// chunk must share the sampled chunk's columns, not copy them.
+TEST(Encoding, DecodeToOriginalSharesColumns) {
+  Schema s = MixedSchema();
+  Dataset d = RandomData(s, 400, 5);
+  for (EncodingKind kind :
+       {EncodingKind::kVanilla, EncodingKind::kHierarchical}) {
+    PrivBayesOptions options;
+    options.epsilon = 1.0;
+    options.encoding = kind;
+    Rng rng(6);
+    PrivBayesModel model = PrivBayes(options).Fit(d, rng);
+    NetworkSampler sampler(model.encoded_schema, model.network,
+                           model.conditionals);
+    Dataset chunk = sampler.SampleChunk(7, 0, 300);
+    Dataset decoded = DecodeToOriginal(chunk, s, kind, nullptr);
+    ASSERT_EQ(decoded.num_rows(), chunk.num_rows());
+    EXPECT_EQ(decoded.schema().attr(2).taxonomy.num_levels(), 4);
+    for (int c = 0; c < s.num_attrs(); ++c) {
+      EXPECT_EQ(decoded.column(c).data(), chunk.column(c).data())
+          << EncodingName(kind) << " column " << c;
+    }
+  }
+  // A schema whose cardinalities differ cannot take the columns over.
+  Schema narrower({Attribute::Binary("flag"), Attribute::Categorical("cat", 4),
+                   Attribute::Continuous("num", 0, 16, 16)});
+  EXPECT_THROW(DecodeToOriginal(d, narrower, EncodingKind::kVanilla, nullptr),
+               std::invalid_argument);
+}
+
 TEST(Encoding, Names) {
   EXPECT_STREQ(EncodingName(EncodingKind::kBinary), "Binary");
   EXPECT_STREQ(EncodingName(EncodingKind::kGray), "Gray");
@@ -154,7 +186,7 @@ TEST(Encoding, Names) {
   EXPECT_STREQ(EncodingName(EncodingKind::kHierarchical), "Hierarchical");
 }
 
-// Repeated encodes of the same (unmutated) source must hand back Datasets
+// Repeated encodes of the same source must hand back Datasets
 // sharing one ColumnStore snapshot id — the key the cross-run MarginalStore
 // caches joints under, so encoding sweeps reuse counted joints like
 // hierarchical (which returns the input itself) already does.
@@ -177,26 +209,26 @@ TEST(Encoding, RepeatedEncodesShareOneSnapshot) {
             ApplyEncoding(d, EncodingKind::kGray).data.store()->snapshot_id());
 }
 
-TEST(Encoding, MutationInvalidatesEncodeMemo) {
+TEST(Encoding, DifferentSourceGetsAFreshEncode) {
   Schema s = MixedSchema();
   Dataset d = RandomData(s, 64, 10);
   EncodedDataset before = ApplyEncoding(d, EncodingKind::kBinary);
   uint64_t before_id = before.data.store()->snapshot_id();
 
-  // Mutating a returned COPY must not poison the memo for later callers.
-  Dataset copy = before.data;
-  copy.Set(0, 0, static_cast<Value>(1 - copy.at(0, 0)));
-  EncodedDataset again = ApplyEncoding(d, EncodingKind::kBinary);
-  EXPECT_EQ(again.data.store()->snapshot_id(), before_id);
-  EXPECT_NE(again.data.at(0, 0), copy.at(0, 0));
-
-  // Mutating the SOURCE retires its snapshot: a fresh encode (fresh id)
-  // reflecting the new cells, never the stale cached bits.
-  Value old = d.at(0, 0);
-  d.Set(0, 0, static_cast<Value>(1 - old));
-  EncodedDataset after = ApplyEncoding(d, EncodingKind::kBinary);
+  // The same rows with one cell flipped are a different source: a fresh
+  // encode (fresh id) reflecting its cells, never the cached bits of `d`.
+  std::vector<std::vector<Value>> cols;
+  for (int c = 0; c < d.num_attrs(); ++c) cols.push_back(d.column(c));
+  cols[0][0] = static_cast<Value>(1 - cols[0][0]);
+  Dataset other = Dataset::FromColumns(s, std::move(cols));
+  EncodedDataset after = ApplyEncoding(other, EncodingKind::kBinary);
   EXPECT_NE(after.data.store()->snapshot_id(), before_id);
   EXPECT_NE(after.data.at(0, 0), before.data.at(0, 0));
+
+  // The original source is still served its own cached encode.
+  EncodedDataset again = ApplyEncoding(d, EncodingKind::kBinary);
+  EXPECT_EQ(again.data.store()->snapshot_id(), before_id);
+  EXPECT_EQ(again.data.at(0, 0), before.data.at(0, 0));
 }
 
 }  // namespace

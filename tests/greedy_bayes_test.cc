@@ -129,19 +129,20 @@ TEST(GreedyBayes, ChowLiuRecoversChainStructure) {
   Schema s({Attribute::Binary("x0"), Attribute::Binary("x1"),
             Attribute::Binary("x2"), Attribute::Binary("x3"),
             Attribute::Binary("x4")});
-  Dataset data(s, n);
+  std::vector<std::vector<Value>> cols(d, std::vector<Value>(n));
   Rng rng(7);
   for (int r = 0; r < n; ++r) {
     Value prev = static_cast<Value>(rng.UniformInt(2));
-    data.Set(r, 0, prev);
+    cols[0][r] = prev;
     for (int c = 1; c < d; ++c) {
       // 90% copy the previous attribute.
       Value v = rng.Uniform() < 0.9 ? prev
                                     : static_cast<Value>(rng.UniformInt(2));
-      data.Set(r, c, v);
+      cols[c][r] = v;
       prev = v;
     }
   }
+  Dataset data = Dataset::FromColumns(s, std::move(cols));
   GreedyBayesOptions opts;
   opts.k = 1;
   opts.first_attr = 0;

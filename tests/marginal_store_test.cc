@@ -105,7 +105,7 @@ TEST_F(MarginalStoreTest, DisabledStoreCountsDirectly) {
   EXPECT_GE(stats.skipped, 2u);
 }
 
-TEST_F(MarginalStoreTest, MutatedDatasetGetsAFreshKey) {
+TEST_F(MarginalStoreTest, DatasetDifferingInOneCellGetsAFreshKey) {
   Dataset data = MakeNltcs(5, 1500);
   MarginalStore& store = MarginalStore::Instance();
   store.ConfigureForTesting(true, MarginalStore::kDefaultByteBudget);
@@ -114,19 +114,23 @@ TEST_F(MarginalStoreTest, MutatedDatasetGetsAFreshKey) {
   ProbTable before = store.CountsOrdered(data, gattrs);
   ExpectBitIdentical(data.JointCountsGeneralized(gattrs), before);
 
-  // Flip one cell: the snapshot is invalidated, so the next counting call
-  // must key on a fresh snapshot id and recount — never serve stale counts.
-  data.Set(0, 0, data.at(0, 0) == 0 ? Value{1} : Value{0});
+  // The same rows with one cell flipped are another dataset: counting it
+  // must key on a fresh snapshot id and recount — never serve the first
+  // dataset's counts.
+  std::vector<std::vector<Value>> cols;
+  for (int c = 0; c < data.num_attrs(); ++c) cols.push_back(data.column(c));
+  cols[0][0] = cols[0][0] == 0 ? Value{1} : Value{0};
+  Dataset flipped = Dataset::FromColumns(data.schema(), std::move(cols));
   bool hit = true;
-  ProbTable after = store.CountsOrdered(data, gattrs, &hit);
+  ProbTable after = store.CountsOrdered(flipped, gattrs, &hit);
   EXPECT_FALSE(hit);
-  ExpectBitIdentical(data.JointCountsGeneralized(gattrs), after);
+  ExpectBitIdentical(flipped.JointCountsGeneralized(gattrs), after);
   EXPECT_NE(std::memcmp(before.values().data(), after.values().data(),
                         before.size() * sizeof(double)),
             0);
 
-  // A copy shares the (new) snapshot: same key, so this one is a hit.
-  Dataset copy = data;
+  // A copy shares the snapshot: same key, so this one is a hit.
+  Dataset copy = flipped;
   store.CountsOrdered(copy, gattrs, &hit);
   EXPECT_TRUE(hit);
 }
@@ -208,9 +212,10 @@ TEST(MarginalCacheConfig, ParsesTheEnvOverride) {
   MarginalCacheConfig sized = MarginalCacheConfigFromString("12345678");
   EXPECT_TRUE(sized.enabled);
   EXPECT_EQ(sized.byte_budget, 12345678u);
-  MarginalCacheConfig junk = MarginalCacheConfigFromString("garbage");
-  EXPECT_TRUE(junk.enabled);
-  EXPECT_EQ(junk.byte_budget, 0u);  // default cap
+  // Text outside those forms is an error, not the default cap.
+  EXPECT_THROW(MarginalCacheConfigFromString("garbage"),
+               std::invalid_argument);
+  EXPECT_THROW(MarginalCacheConfigFromString("64kb"), std::invalid_argument);
 }
 
 TEST_F(MarginalStoreTest, SixteenThreadMixedHitMissHammering) {

@@ -78,11 +78,9 @@ TEST(Metric, IdenticalDataScoresZero) {
 TEST(Metric, KnownDistance) {
   // Two single-attribute datasets with known marginals.
   Schema s({Attribute::Binary("x")});
-  Dataset a(s, 4), b(s, 4);
   // a: 1,1,0,0 -> P(1) = 0.5; b: 1,1,1,1 -> P(1) = 1. TVD = 0.5.
-  a.Set(0, 0, 1);
-  a.Set(1, 0, 1);
-  for (int r = 0; r < 4; ++r) b.Set(r, 0, 1);
+  Dataset a = Dataset::FromColumns(s, {{1, 1, 0, 0}});
+  Dataset b = Dataset::FromColumns(s, {{1, 1, 1, 1}});
   MarginalWorkload w = MarginalWorkload::AllAlphaWay(s, 1);
   EXPECT_NEAR(AverageMarginalTvd(a, w, b), 0.5, 1e-12);
 }

@@ -245,11 +245,7 @@ TEST(PackedStore, OutOfCoreGuardsThrowOnResidentOnlyOperations) {
   WritePacked(d, file.path());
   Dataset mapped = Dataset::FromPackedFile(file.path());
   EXPECT_THROW(mapped.column(0), std::exception);
-  EXPECT_THROW(mapped.Set(0, 0, 1), std::exception);
-  EXPECT_THROW({
-    std::vector<Value> row(static_cast<size_t>(mapped.num_attrs()), 0);
-    mapped.AppendRow(row);
-  }, std::exception);
+  EXPECT_THROW(mapped.WithSchema(mapped.schema()), std::exception);
   std::vector<int> rows = {0, 1};
   EXPECT_THROW(mapped.SelectRows(rows), std::exception);
   EXPECT_THROW(mapped.JointCountsGeneralizedNaive(
@@ -332,7 +328,8 @@ TEST(PackedStore, RejectsOutOfDomainPayload) {
   // value 3: outside the domain every kernel indexes histograms by.
   Schema schema({Attribute::Categorical("a", 3),
                  Attribute::Categorical("b", 3)});
-  Dataset d(schema, 100);
+  Dataset d = Dataset::FromColumns(
+      schema, std::vector<std::vector<Value>>(2, std::vector<Value>(100)));
   TempPacked file("domain.pbp");
   WritePacked(d, file.path());
   std::vector<uint8_t> bytes = ReadBytes(file.path());

@@ -251,7 +251,7 @@ TEST(PrivBayesFit, RejectsDegenerateInputs) {
   PrivBayes pb(opts);
   Rng rng(10);
   Schema s({Attribute::Binary("a")});
-  Dataset one_row(s, 1);
+  Dataset one_row = Dataset::FromColumns(s, {{0}});
   EXPECT_THROW(pb.Fit(one_row, rng), std::invalid_argument);
 }
 

@@ -118,9 +118,7 @@ TEST(LogLikelihood, PrefersTheGeneratingModel) {
 
 TEST(LogLikelihood, MatchesHandComputation) {
   TinyModel m;
-  Dataset d(m.schema, 1);
-  d.Set(0, 0, 1);
-  d.Set(0, 1, 0);
+  Dataset d = Dataset::FromColumns(m.schema, {{1}, {0}});
   double expect = std::log2(0.7) + std::log2(0.8);
   EXPECT_NEAR(LogLikelihood(d, m.net, m.cs), expect, 1e-12);
 }

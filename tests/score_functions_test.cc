@@ -66,14 +66,15 @@ TEST(ScoreNames, AllNamed) {
 }
 
 TEST(ScoreI, MatchesMutualInformation) {
-  Dataset d{PairSchema(2, 3)};
+  std::vector<std::vector<Value>> cols(2);
   Rng rng(1);
   for (int i = 0; i < 500; ++i) {
     Value p = static_cast<Value>(rng.UniformInt(3));
     Value x = static_cast<Value>((p + rng.UniformInt(2)) % 2);
-    std::vector<Value> row = {p, x};
-    d.AppendRow(row);
+    cols[0].push_back(p);
+    cols[1].push_back(x);
   }
+  Dataset d = Dataset::FromColumns(PairSchema(2, 3), std::move(cols));
   ProbTable counts = PairCounts(d);
   ProbTable probs = counts;
   probs.Normalize();
@@ -139,17 +140,17 @@ TEST_P(EmpiricalSensitivity, NeighbourDeltasWithinBounds) {
   int cx = 2;                                      // child binary (F needs it)
   int cp = 2 + static_cast<int>(rng.UniformInt(3));  // parent 2..4
   const int n = 40;
-  Dataset d1{PairSchema(cx, cp)};
+  std::vector<std::vector<Value>> cols(2);
   for (int i = 0; i < n; ++i) {
-    std::vector<Value> row = {static_cast<Value>(rng.UniformInt(cp)),
-                              static_cast<Value>(rng.UniformInt(cx))};
-    d1.AppendRow(row);
+    cols[0].push_back(static_cast<Value>(rng.UniformInt(cp)));
+    cols[1].push_back(static_cast<Value>(rng.UniformInt(cx)));
   }
+  Dataset d1 = Dataset::FromColumns(PairSchema(cx, cp), cols);
   // Neighbour: change one row arbitrarily.
-  Dataset d2 = d1;
   int victim = static_cast<int>(rng.UniformInt(n));
-  d2.Set(victim, 0, static_cast<Value>(rng.UniformInt(cp)));
-  d2.Set(victim, 1, static_cast<Value>(rng.UniformInt(cx)));
+  cols[0][victim] = static_cast<Value>(rng.UniformInt(cp));
+  cols[1][victim] = static_cast<Value>(rng.UniformInt(cx));
+  Dataset d2 = Dataset::FromColumns(PairSchema(cx, cp), std::move(cols));
 
   ProbTable c1 = PairCounts(d1);
   ProbTable c2 = PairCounts(d2);

@@ -47,14 +47,15 @@ Dataset RandomBinaryDataset(int num_attrs, int num_rows, uint64_t seed) {
   for (int i = 0; i < num_attrs; ++i) {
     attrs.push_back(Attribute::Binary("b" + std::to_string(i)));
   }
-  Dataset d(Schema(attrs), num_rows);
+  std::vector<std::vector<Value>> cols(num_attrs,
+                                       std::vector<Value>(num_rows));
   Rng rng(seed);
   for (int c = 0; c < num_attrs; ++c) {
     for (int r = 0; r < num_rows; ++r) {
-      d.Set(r, c, static_cast<Value>(rng.UniformInt(2)));
+      cols[c][r] = static_cast<Value>(rng.UniformInt(2));
     }
   }
-  return d;
+  return Dataset::FromColumns(Schema(attrs), std::move(cols));
 }
 
 void ExpectIdenticalCounts(const Dataset& d, std::span<const GenAttr> gattrs,
@@ -103,11 +104,12 @@ TEST(SimdKernels, ConstantColumnsMatchNaive) {
     for (int i = 0; i < 8; ++i) {
       attrs.push_back(Attribute::Binary("b" + std::to_string(i)));
     }
-    Dataset zeros(Schema(attrs), n);  // all cells 0
-    Dataset ones(Schema(attrs), n);
-    for (int c = 0; c < 8; ++c) {
-      for (int r = 0; r < n; ++r) ones.Set(r, c, 1);
-    }
+    Dataset zeros = Dataset::FromColumns(
+        Schema(attrs),
+        std::vector<std::vector<Value>>(8, std::vector<Value>(n)));
+    Dataset ones = Dataset::FromColumns(
+        Schema(attrs),
+        std::vector<std::vector<Value>>(8, std::vector<Value>(n, 1)));
     for (SimdLevel level : AvailableLevels()) {
       ScopedSimd forced(level);
       for (int arity : {1, 4, 7, 8}) {
@@ -147,7 +149,8 @@ TEST(SimdKernels, MinimalBitWidthsFollowCardinality) {
                  Attribute::Continuous("c16", 0, 16, 16),   // card 16 -> 4 bits
                  Attribute::Categorical("c100", 100),       // card 100-> 8 bits
                  Attribute::Categorical("c300", 300)});     // card 300->16 bits
-  Dataset d(schema, 100);
+  Dataset d = Dataset::FromColumns(
+      schema, std::vector<std::vector<Value>>(5, std::vector<Value>(100)));
   std::shared_ptr<const ColumnStore> store = d.store();
   EXPECT_EQ(store->packed_bits(0, 0), 1);
   EXPECT_EQ(store->packed_bits(1, 0), 2);

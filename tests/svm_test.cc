@@ -19,15 +19,15 @@ Schema ThreeAttr() {
 // Label = 1 iff f1 == 2 (perfectly separable by one-hot features).
 Dataset Separable(int n, uint64_t seed) {
   Schema s = ThreeAttr();
-  Dataset d(s, n);
+  std::vector<std::vector<Value>> cols(3, std::vector<Value>(n));
   Rng rng(seed);
   for (int r = 0; r < n; ++r) {
     Value f1 = static_cast<Value>(rng.UniformInt(3));
-    d.Set(r, 0, f1);
-    d.Set(r, 1, f1 == 2 ? 1 : 0);
-    d.Set(r, 2, static_cast<Value>(rng.UniformInt(4)));
+    cols[0][r] = f1;
+    cols[1][r] = f1 == 2 ? 1 : 0;
+    cols[2][r] = static_cast<Value>(rng.UniformInt(4));
   }
-  return d;
+  return Dataset::FromColumns(s, std::move(cols));
 }
 
 TEST(LabelSpec, PositiveValues) {
@@ -134,11 +134,8 @@ TEST(HuberErm, PerturbationVectorShiftsSolution) {
 
 TEST(Misclassification, HandComputed) {
   Schema s = ThreeAttr();
-  Dataset test(s, 4);
-  for (int r = 0; r < 4; ++r) {
-    test.Set(r, 0, 0);
-    test.Set(r, 1, static_cast<Value>(r % 2));
-  }
+  Dataset test = Dataset::FromColumns(s, {{0, 0, 0, 0}, {0, 1, 0, 1},
+                                          {0, 0, 0, 0}});
   LabelSpec label{"lab", 1, {1}};
   SparseFeaturizer fz(s, 1);
   // All-positive model predicts +1 for everything: errs on the two y=0 rows.

@@ -306,7 +306,9 @@ int main(int argc, char** argv) {
       }
     }
   } catch (const std::exception& e) {
-    PB_LOG(kError, "serve") << "model setup failed: " << e.what();
+    // Fatal start-up errors (a bad model file, a malformed PRIVBAYES_*
+    // knob) go to stderr, like usage errors, not to the stdout log.
+    std::fprintf(stderr, "%s: model setup failed: %s\n", argv[0], e.what());
     return 1;
   }
 
@@ -314,7 +316,7 @@ int main(int argc, char** argv) {
   try {
     server.Start();
   } catch (const std::exception& e) {
-    PB_LOG(kError, "serve") << "cannot start server: " << e.what();
+    std::fprintf(stderr, "%s: cannot start server: %s\n", argv[0], e.what());
     return 1;
   }
   std::signal(SIGINT, OnSignal);
